@@ -104,7 +104,6 @@ fn main() {
         n_threads: None,
         resilience: Default::default(),
         split: opts.split_strategy(),
-        feature_cache: opts.feature_cache_config(),
     };
     let result = hotspot_forecast::sweep::run_sweep(&ctx, &config);
     let (mean, ci) = result.mean_lift(ModelSpec::RfF1, h, w);

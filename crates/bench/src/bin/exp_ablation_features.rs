@@ -31,7 +31,6 @@ fn main() {
         n_threads: None,
         resilience: Default::default(),
         split: opts.split_strategy(),
-        feature_cache: opts.feature_cache_config(),
     };
     let result = run_sweep(&ctx, &config);
     print_section("mean lift by representation");

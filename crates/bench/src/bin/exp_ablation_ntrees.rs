@@ -30,7 +30,6 @@ fn main() {
             n_threads: None,
             resilience: Default::default(),
             split: opts.split_strategy(),
-            feature_cache: opts.feature_cache_config(),
         };
         let result = run_sweep(&ctx, &config);
         let (mean, ci) = result.mean_lift(ModelSpec::RfF1, 5, 7);

@@ -37,7 +37,6 @@ fn main() {
         n_threads: None,
         resilience: resilience(&opts),
         split: opts.split_strategy(),
-        feature_cache: opts.feature_cache_config(),
     };
     let result = run_sweep_with_options(&ctx, &config, &opts);
 

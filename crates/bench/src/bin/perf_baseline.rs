@@ -1,21 +1,15 @@
 //! Per-stage performance baseline for the pipeline's hot stages
 //! (ROADMAP: "per-stage performance baselines").
 //!
-//! Five stages, each pinning one deterministic counter next to its
+//! Four stages, each pinning one deterministic counter next to its
 //! wall-clock measurement:
 //!
 //! * `forest_fit_exact` / `forest_fit_hist` — fit the same forest with
 //!   exact and histogram split finding at the sweep's working shape
 //!   (5000 rows × 63 features); pins `trees.split_evaluations`.
-//! * `sweep_cell_uncached` / `sweep_cell_cached` — run the same
-//!   reduced in-process sweep with the feature-plane cache off and on,
-//!   reporting each run's `sweep.cell` span aggregate (total
-//!   milliseconds across all cells). The uncached run pins
-//!   `trees.split_evaluations` summed over the grid; the cached run
-//!   pins `features.cache.build` (the number of distinct planes
-//!   built). Their canonical TSVs are asserted byte-identical, and a
-//!   replay gate proves build-at-most-once: a second identical sweep
-//!   against the same cache must add zero builds.
+//! * `sweep_cell` — run a reduced in-process sweep and report its
+//!   `sweep.cell` span aggregate (total milliseconds across all
+//!   cells); pins `trees.split_evaluations` summed over the grid.
 //! * `imputer_fit` — train the autoencoder imputer on a gapped
 //!   synthetic tensor and report the `imputer.fit` span aggregate;
 //!   pins `imputer.cells_imputed`.
@@ -37,17 +31,12 @@ use hotspot_core::kpi::KpiCatalog;
 use hotspot_core::pipeline::ScorePipeline;
 use hotspot_core::tensor::Tensor3;
 use hotspot_core::HOURS_PER_WEEK;
-use hotspot_features::PlaneCache;
 use hotspot_forecast::context::{ForecastContext, Target};
 use hotspot_forecast::models::ModelSpec;
-use hotspot_forecast::sweep::{
-    canonical_tsv, run_sweep, FeatureCacheConfig, InProcessExecutor, ResiliencePolicy, ShardSpec,
-    SweepConfig, SweepExecutor, SweepPlan,
-};
+use hotspot_forecast::sweep::{run_sweep, ResiliencePolicy, SweepConfig};
 use hotspot_nn::imputer::{AutoencoderImputer, Imputer, ImputerConfig};
 use hotspot_obs as obs;
 use hotspot_trees::{Dataset, RandomForest, RandomForestParams, SplitStrategy};
-use std::sync::Arc;
 use std::time::Instant;
 
 const N_ROWS: usize = 5000;
@@ -154,13 +143,10 @@ fn sweep_context() -> ForecastContext {
     ForecastContext::build(&kpis, &scored, Target::BeHotSpot).expect("consistent dimensions")
 }
 
-/// The cached and uncached sweep stages share this one science
-/// configuration; only the byte-transparent `feature_cache` knob
-/// differs. Overlapping horizons at a common window and shallow
-/// forests keep featurisation a visible share of each cell, so the
-/// cache's wall-clock win is measurable rather than lost in tree
-/// fitting.
-fn sweep_pair_config(cache: bool) -> SweepConfig {
+/// The sweep stage's configuration. Overlapping horizons at a common
+/// window and shallow forests keep featurisation a visible share of
+/// each cell.
+fn sweep_config() -> SweepConfig {
     SweepConfig {
         models: vec![ModelSpec::RfF1],
         ts: vec![24, 26, 28, 30],
@@ -173,11 +159,6 @@ fn sweep_pair_config(cache: bool) -> SweepConfig {
         n_threads: Some(2),
         resilience: ResiliencePolicy::default(),
         split: SplitStrategy::default(),
-        feature_cache: if cache {
-            FeatureCacheConfig::default()
-        } else {
-            FeatureCacheConfig::off()
-        },
     }
 }
 
@@ -187,73 +168,19 @@ fn counter_delta(name: &str, before: &obs::MetricsSnapshot, after: &obs::Metrics
         - before.counters.get(name).copied().unwrap_or(0)
 }
 
-/// Run one reduced sweep with the cache on or off, returning the
-/// `sweep.cell` span aggregate as the stage time and the run's
-/// canonical TSV for the parity assertion.
-fn sweep_stage(ctx: &ForecastContext, cache: bool) -> (Stage, String) {
-    let config = sweep_pair_config(cache);
-    let plan = SweepPlan::new(&config);
+/// Run one reduced sweep, returning the `sweep.cell` span aggregate as
+/// the stage time and pinning `trees.split_evaluations` over the grid.
+fn sweep_stage(ctx: &ForecastContext) -> Stage {
     let before = obs::global().snapshot();
-    let result = run_sweep(ctx, &config);
+    let result = run_sweep(ctx, &sweep_config());
     let after = obs::global().snapshot();
     assert!(result.health.is_clean(), "sweep stage must be clean: {}", result.health.summary());
-    let tsv = canonical_tsv(&plan, &result).expect("complete sweep renders");
-    let stage = if cache {
-        assert_eq!(
-            counter_delta("features.cache.evict", &before, &after),
-            0,
-            "the default budget must hold this grid without evicting"
-        );
-        let builds = counter_delta("features.cache.build", &before, &after);
-        assert!(builds > 0, "the cached sweep must exercise the plane cache");
-        Stage {
-            name: "sweep_cell_cached",
-            millis: span_delta_ms("sweep.cell", &before, &after),
-            pinned_metric: "features.cache.build",
-            pinned: builds,
-        }
-    } else {
-        Stage {
-            name: "sweep_cell_uncached",
-            millis: span_delta_ms("sweep.cell", &before, &after),
-            pinned_metric: "trees.split_evaluations",
-            pinned: counter_delta("trees.split_evaluations", &before, &after),
-        }
-    };
-    (stage, tsv)
-}
-
-/// Hard gate for build-at-most-once: with an injected ample-budget
-/// cache, a second identical sweep must add zero builds — every plane
-/// the grid needs was built exactly once and is served from cache
-/// thereafter.
-fn replay_gate(ctx: &ForecastContext) {
-    let config = sweep_pair_config(true);
-    let plan = SweepPlan::new(&config);
-    let cache = Arc::new(PlaneCache::new(1 << 30));
-    let run = || {
-        InProcessExecutor {
-            ctx,
-            config: &config,
-            shard: ShardSpec { index: 0, count: 1 },
-            checkpoint: None,
-            plane_cache: Some(Arc::clone(&cache)),
-        }
-        .execute(&plan)
-        .expect("in-memory sweep cannot fail")
-    };
-    run();
-    let first = cache.stats();
-    assert!(first.builds > 0, "the sweep must request planes");
-    assert!(first.builds <= first.misses, "a build only happens on a miss");
-    assert_eq!(first.evictions, 0, "an ample budget must never evict");
-    run();
-    let second = cache.stats();
-    assert_eq!(
-        second.builds, first.builds,
-        "replaying the sweep must add zero builds (build-at-most-once violated)"
-    );
-    assert!(second.hits > first.hits, "the replay must be served from cache");
+    Stage {
+        name: "sweep_cell",
+        millis: span_delta_ms("sweep.cell", &before, &after),
+        pinned_metric: "trees.split_evaluations",
+        pinned: counter_delta("trees.split_evaluations", &before, &after),
+    }
 }
 
 /// Train the autoencoder imputer on a gapped synthetic tensor and
@@ -290,13 +217,9 @@ fn imputer_stage() -> Stage {
     }
 }
 
-/// The two ratios the baseline file records next to the stages.
-struct Speedups {
-    exact_over_hist: f64,
-    sweep_cached: f64,
-}
-
-fn measure() -> (Vec<Stage>, Speedups) {
+/// Measure every stage; also returns the exact/histogram fit-time
+/// ratio the baseline file records next to them.
+fn measure() -> (Vec<Stage>, f64) {
     // Span recording is off by default; the two span-aggregate stages
     // need it.
     obs::set_spans_enabled(true);
@@ -336,34 +259,14 @@ fn measure() -> (Vec<Stage>, Speedups) {
     );
 
     let ctx = sweep_context();
-    let mut uncached_tsv = String::new();
-    let uncached = best_of(3, || {
-        let (stage, tsv) = sweep_stage(&ctx, false);
-        uncached_tsv = tsv;
-        stage
-    });
-    let mut cached_tsv = String::new();
-    let cached = best_of(3, || {
-        let (stage, tsv) = sweep_stage(&ctx, true);
-        cached_tsv = tsv;
-        stage
-    });
-    assert_eq!(
-        uncached_tsv, cached_tsv,
-        "cached sweep must be byte-identical to the uncached sweep"
-    );
-    replay_gate(&ctx);
-
+    let sweep = best_of(3, || sweep_stage(&ctx));
     let imputer = best_of(3, imputer_stage);
 
-    let speedups = Speedups {
-        exact_over_hist: exact.millis / hist.millis,
-        sweep_cached: uncached.millis / cached.millis,
-    };
-    (vec![exact, hist, uncached, cached, imputer], speedups)
+    let exact_over_hist = exact.millis / hist.millis;
+    (vec![exact, hist, sweep, imputer], exact_over_hist)
 }
 
-fn to_json(stages: &[Stage], speedups: &Speedups) -> obs::Json {
+fn to_json(stages: &[Stage], exact_over_hist: f64) -> obs::Json {
     let entries: Vec<obs::Json> = stages
         .iter()
         .map(|s| {
@@ -378,13 +281,12 @@ fn to_json(stages: &[Stage], speedups: &Speedups) -> obs::Json {
     obs::Json::obj(vec![
         ("bench", obs::Json::Str(format!("forest{N_TREES}_fit_{N_ROWS}x{N_FEATURES}"))),
         ("recorded_unix_ms", obs::Json::Num(obs::unix_ms() as f64)),
-        ("speedup_exact_over_hist", obs::Json::Num(speedups.exact_over_hist)),
-        ("speedup_sweep_cached", obs::Json::Num(speedups.sweep_cached)),
+        ("speedup_exact_over_hist", obs::Json::Num(exact_over_hist)),
         ("stages", obs::Json::Arr(entries)),
     ])
 }
 
-fn check(path: &std::path::Path, stages: &[Stage], speedups: &Speedups) -> i32 {
+fn check(path: &std::path::Path, stages: &[Stage], exact_over_hist: f64) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -426,7 +328,7 @@ fn check(path: &std::path::Path, stages: &[Stage], speedups: &Speedups) -> i32 {
             );
         }
     }
-    print_speedups(speedups);
+    print_speedup(exact_over_hist);
     if failures > 0 {
         eprintln!("perf baseline check FAILED ({failures} hard failures)");
         1
@@ -458,33 +360,23 @@ fn main() {
         std::process::exit(2);
     }
 
-    let (stages, speedups) = measure();
+    let (stages, exact_over_hist) = measure();
     if record {
-        let json = to_json(&stages, &speedups);
+        let json = to_json(&stages, exact_over_hist);
         std::fs::write(&path, json.render() + "\n").expect("write baseline");
         for s in &stages {
             println!("{}: {:.1} ms, {} = {}", s.name, s.millis, s.pinned_metric, s.pinned);
         }
-        print_speedups(&speedups);
+        print_speedup(exact_over_hist);
         println!("baseline recorded to {}", path.display());
     } else {
-        std::process::exit(check(&path, &stages, &speedups));
+        std::process::exit(check(&path, &stages, exact_over_hist));
     }
 }
 
-fn print_speedups(speedups: &Speedups) {
-    println!("speedup exact/hist: {:.2}x", speedups.exact_over_hist);
-    println!("speedup sweep cached/uncached: {:.2}x", speedups.sweep_cached);
-    if speedups.exact_over_hist < 1.0 {
-        eprintln!(
-            "WARN histogram slower than exact on this machine ({:.2}x)",
-            speedups.exact_over_hist
-        );
-    }
-    if speedups.sweep_cached < 1.0 {
-        eprintln!(
-            "WARN cached sweep slower than uncached on this machine ({:.2}x)",
-            speedups.sweep_cached
-        );
+fn print_speedup(exact_over_hist: f64) {
+    println!("speedup exact/hist: {exact_over_hist:.2}x");
+    if exact_over_hist < 1.0 {
+        eprintln!("WARN histogram slower than exact on this machine ({exact_over_hist:.2}x)");
     }
 }

@@ -58,7 +58,6 @@ fn sweep_config(opts: &RunOptions) -> SweepConfig {
         n_threads: None,
         resilience: resilience(opts),
         split: opts.split_strategy(),
-        feature_cache: opts.feature_cache_config(),
     }
 }
 

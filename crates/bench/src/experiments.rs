@@ -146,7 +146,6 @@ pub fn horizon_sweep(
         n_threads: None,
         resilience: resilience(opts),
         split: opts.split_strategy(),
-        feature_cache: opts.feature_cache_config(),
     };
     run_sweep_with_options(ctx, &config, opts)
 }
@@ -172,7 +171,6 @@ pub fn window_sweep(
         n_threads: None,
         resilience: resilience(opts),
         split: opts.split_strategy(),
-        feature_cache: opts.feature_cache_config(),
     };
     run_sweep_with_options(ctx, &config, opts)
 }

@@ -17,17 +17,18 @@
 //! * **read-only after build** — planes are shared as
 //!   `Arc<FeaturePlane>` and never mutated, so a cached row is the
 //!   *same bytes* `FeatureBuilder::build` would have produced and
-//!   cached/uncached runs stay byte-identical;
-//! * **memory-bounded** — a byte budget evicts least-recently-used
-//!   planes (never the one just built), so paper-scale sweeps cannot
-//!   grow the resident set without limit. Eviction only costs a
-//!   rebuild; it never changes results.
+//!   results never depend on what the cache holds;
+//! * **memory-bounded** — a byte budget ([`BUDGET_BYTES`] for a
+//!   sweep) evicts least-recently-used planes (never the one just
+//!   built), so paper-scale sweeps cannot grow the resident set
+//!   without limit. Eviction only costs a rebuild; it never changes
+//!   results.
 //!
 //! Observability: the cache increments the
 //! `features.cache.{hit,miss,build,evict,bytes}` counters (all
 //! monotone counters — deliberately *not* gauges, which the sweep's
-//! deterministic metrics projection would retain and thereby break
-//! cached-vs-uncached projection identity) and wraps each build in a
+//! deterministic metrics projection would retain and thereby make it
+//! depend on the eviction history) and wraps each build in a
 //! `features.plane_build` span.
 
 use crate::builders::FeatureBuilder;
@@ -36,6 +37,10 @@ use hotspot_obs as obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// Resident-plane byte budget of the cache a sweep shares across its
+/// cells (256 MiB).
+pub const BUDGET_BYTES: usize = 256 << 20;
 
 /// What uniquely determines a feature plane's contents (for one input
 /// tensor): the builder, the exclusive end day, and the window length.
@@ -244,7 +249,7 @@ impl PlaneCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{DailyPercentiles, RawFlatten};
+    use crate::builders::{DailyPercentiles, HandCrafted, RawFlatten};
     use hotspot_core::HOURS_PER_DAY;
 
     fn x(n_sectors: usize, n_days: usize) -> Tensor3 {
@@ -257,15 +262,24 @@ mod tests {
     fn plane_rows_match_direct_builds() {
         let x = x(4, 10);
         let cache = PlaneCache::new(usize::MAX);
-        for (end, w) in [(5usize, 3usize), (10, 7), (3, 3)] {
-            let plane = cache.get_or_build(&DailyPercentiles, &x, end, w);
-            assert_eq!(plane.n_rows(), 4);
-            for i in 0..4 {
-                assert_eq!(plane.row(i), DailyPercentiles.build(&x, i, end, w).as_slice());
+        let builders: [&dyn FeatureBuilder; 3] = [&RawFlatten, &DailyPercentiles, &HandCrafted];
+        for builder in builders {
+            for (end, w) in [(5usize, 3usize), (10, 7), (3, 3), (10, 1)] {
+                let plane = cache.get_or_build(builder, &x, end, w);
+                assert_eq!(plane.n_rows(), 4);
+                assert_eq!(plane.dim(), builder.dim(x.n_features(), w));
+                for i in 0..4 {
+                    assert_eq!(
+                        plane.row(i),
+                        builder.build(&x, i, end, w).as_slice(),
+                        "{} row {i} at end={end} w={w}",
+                        builder.name()
+                    );
+                }
             }
         }
         let s = cache.stats();
-        assert_eq!(s.builds, 3);
+        assert_eq!(s.builds, 12);
         assert_eq!(s.evictions, 0);
     }
 

@@ -34,11 +34,11 @@ use crate::evaluate::EvalRecord;
 use crate::models::ModelSpec;
 use crate::sweep::{CellKey, CellOutcome, ShardSpec, SweepCell, SweepConfig, SweepPlan};
 use hotspot_core::error::{CoreError, Result as CoreResult};
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 const MAGIC: &str = "# hotspot-sweep-checkpoint v2";
 
@@ -46,10 +46,7 @@ const MAGIC: &str = "# hotspot-sweep-checkpoint v2";
 /// `n_threads` is deliberately excluded — a resume on a different
 /// machine shape is still the same sweep — and so is sharding, which
 /// is execution topology, not science: every shard of a sweep (and
-/// its merge) carries the same fingerprint. `feature_cache` is
-/// excluded for the same reason: the plane cache is byte-transparent,
-/// so a cached run may resume an uncached checkpoint (and vice versa)
-/// and still produce identical artifacts.
+/// its merge) carries the same fingerprint.
 pub fn config_fingerprint(config: &SweepConfig) -> u64 {
     let identity = format!(
         "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}",
@@ -64,12 +61,7 @@ pub fn config_fingerprint(config: &SweepConfig) -> u64 {
         config.resilience,
         config.split,
     );
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in identity.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    hotspot_obs::fnv1a(identity.as_bytes())
 }
 
 pub(crate) fn escape_field(s: &str) -> String {
@@ -405,7 +397,7 @@ impl CheckpointWriter {
     /// Journal one finished cell.
     pub fn append(&self, cell: &SweepCell) -> CoreResult<()> {
         let line = format!("{}\n", render_line(cell));
-        let mut file = self.file.lock();
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         file.write_all(line.as_bytes())?;
         file.flush()?;
         hotspot_obs::counter("sweep.checkpoint_appends").inc();
@@ -431,23 +423,16 @@ mod tests {
             n_threads: Some(2),
             resilience: ResiliencePolicy::default(),
             split: hotspot_trees::SplitStrategy::default(),
-            feature_cache: crate::sweep::FeatureCacheConfig::default(),
         }
     }
 
     #[test]
-    fn fingerprint_ignores_feature_cache_plumbing() {
-        let base = config();
-        let mut cached_off = config();
-        cached_off.feature_cache = crate::sweep::FeatureCacheConfig::off();
-        let mut tiny_budget = config();
-        tiny_budget.feature_cache.budget_mb = 1;
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&cached_off));
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&tiny_budget));
-        // Science fields still move it.
-        let mut other_seed = config();
-        other_seed.seed += 1;
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&other_seed));
+    fn fingerprint_is_pinned() {
+        // Existing v2 journals carry these values in their headers; if
+        // they move, every saved checkpoint refuses to resume.
+        assert_eq!(config_fingerprint(&config()), 0xd532_2871_9909_3fc4);
+        let exact = SweepConfig { split: hotspot_trees::SplitStrategy::Exact, ..config() };
+        assert_eq!(config_fingerprint(&exact), 0x5b48_16b5_f0c0_1cda);
     }
 
     fn cell(model: ModelSpec, t: usize, outcome: CellOutcome) -> SweepCell {

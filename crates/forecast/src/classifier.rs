@@ -84,12 +84,12 @@ pub struct ClassifierConfig {
     /// Split-search strategy for every tree-based estimator
     /// (histogram by default; exact for reference runs).
     pub split: SplitStrategy,
-    /// Shared feature-plane cache. When set, training assembly and
-    /// forecasting gather rows from cached `(representation, end_day,
-    /// w)` planes instead of re-featurising per sector; results are
-    /// byte-identical either way (a plane row *is* the builder's
-    /// output). Sweep executors install one cache per process;
-    /// standalone callers leave it `None`.
+    /// Shared feature-plane cache. Training assembly and forecasting
+    /// always gather rows from `(representation, end_day, w)` planes
+    /// (a plane row *is* the builder's output). Sweep executors
+    /// install one cache per process so cells share planes;
+    /// standalone callers leave it `None` and each fit uses a cache
+    /// local to the call.
     pub plane_cache: Option<Arc<PlaneCache>>,
 }
 
@@ -214,6 +214,7 @@ fn assemble_training(
     ctx: &ForecastContext,
     spec: &WindowSpec,
     config: &ClassifierConfig,
+    cache: &PlaneCache,
 ) -> Option<Dataset> {
     let builder = config.representation.builder();
     let f = ctx.x.n_features();
@@ -229,20 +230,14 @@ fn assemble_training(
         // One whole-network plane per (representation, end, w); cells
         // across the grid share it. NaN-labelled sectors are skipped
         // below, but the full plane is what every other cell needs
-        // anyway, and a cached row is byte-identical to building it.
-        let plane = config
-            .plane_cache
-            .as_ref()
-            .map(|cache| cache.get_or_build(builder, &ctx.x, end, spec.w));
+        // anyway.
+        let plane = cache.get_or_build(builder, &ctx.x, end, spec.w);
         for i in 0..ctx.n_sectors() {
             let y = ctx.target.get(i, label_day);
             if y.is_nan() {
                 continue;
             }
-            match &plane {
-                Some(p) => rows.extend_from_slice(p.row(i)),
-                None => rows.extend(builder.build(&ctx.x, i, end, spec.w)),
-            }
+            rows.extend_from_slice(plane.row(i));
             labels.push(y >= 0.5);
         }
     }
@@ -264,7 +259,20 @@ pub fn fit_and_forecast(
     spec: &WindowSpec,
     config: &ClassifierConfig,
 ) -> Option<FittedClassifier> {
-    let data = assemble_training(ctx, spec, config)?;
+    // Without a shared cache, one local to this call keeps a single
+    // featurisation path. A call never requests the same plane twice
+    // (every training day and the forecast window end on distinct
+    // days), so it need keep no plane past its use: a zero budget
+    // holds only the latest one.
+    let local;
+    let cache = match &config.plane_cache {
+        Some(shared) => shared.as_ref(),
+        None => {
+            local = PlaneCache::new(0);
+            &local
+        }
+    };
+    let data = assemble_training(ctx, spec, config, cache)?;
     let builder = config.representation.builder();
     let n_train = data.n_samples();
     let n_train_pos = (0..n_train).filter(|&i| data.label(i)).count();
@@ -321,16 +329,9 @@ pub fn fit_and_forecast(
 
     // Forecast side: the fresh window ending at `t` is itself a
     // shareable plane (same key for every h at a given (t, w)).
-    let forecast_plane = config
-        .plane_cache
-        .as_ref()
-        .map(|cache| cache.get_or_build(builder, &ctx.x, spec.t, spec.w));
-    let mut predictions: Vec<f64> = (0..ctx.n_sectors())
-        .map(|i| match &forecast_plane {
-            Some(p) => predict(p.row(i)),
-            None => predict(&builder.build(&ctx.x, i, spec.t, spec.w)),
-        })
-        .collect();
+    let forecast_plane = cache.get_or_build(builder, &ctx.x, spec.t, spec.w);
+    let mut predictions: Vec<f64> =
+        (0..ctx.n_sectors()).map(|i| predict(forecast_plane.row(i))).collect();
     // Deterministic informative tie-break: at reduced scale many
     // sectors share the exact same ensemble probability (granularity
     // is 1/n_trees), and ordering those ties by sector index would be
@@ -490,28 +491,34 @@ mod tests {
 
     #[test]
     fn cached_fit_matches_uncached_bitwise() {
+        // The call-local cache (`plane_cache: None`) against one shared
+        // cache that stays warm across every fit below.
         let c = ctx();
         let spec = WindowSpec::new(16, 2, 7);
+        let shared = Arc::new(PlaneCache::new(usize::MAX));
         for kind in [ClassifierKind::Tree, ClassifierKind::Forest, ClassifierKind::Gbdt] {
             for repr in
                 [Representation::Raw, Representation::Percentiles, Representation::HandCrafted]
             {
-                let base = small_config(kind, repr);
-                let cached_config = ClassifierConfig {
-                    plane_cache: Some(Arc::new(PlaneCache::new(usize::MAX))),
-                    ..base.clone()
+                let local_config = small_config(kind, repr);
+                let shared_config = ClassifierConfig {
+                    plane_cache: Some(Arc::clone(&shared)),
+                    ..local_config.clone()
                 };
-                let plain = fit_and_forecast(&c, &spec, &base).unwrap();
-                let cached = fit_and_forecast(&c, &spec, &cached_config).unwrap();
+                let local = fit_and_forecast(&c, &spec, &local_config).unwrap();
+                let cached = fit_and_forecast(&c, &spec, &shared_config).unwrap();
                 assert_eq!(
-                    format!("{:?}", plain.predictions),
+                    format!("{:?}", local.predictions),
                     format!("{:?}", cached.predictions),
-                    "{kind:?}/{repr:?} cached fit diverged"
+                    "{kind:?}/{repr:?} shared-cache fit diverged"
                 );
-                let stats = cached_config.plane_cache.as_ref().unwrap().stats();
-                assert!(stats.builds > 0);
             }
         }
+        // Each representation's planes were built by its first fit and
+        // served warm to the other two kinds.
+        let stats = shared.stats();
+        assert!(stats.builds > 0);
+        assert_eq!(stats.hits, 2 * stats.builds);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub use checkpoint::{
 };
 pub use sweep::{
     canonical_tsv, deterministic_projection, merge_shards, run_sweep, run_sweep_resumable,
-    CellKey, CellOutcome, FaultPlan, FeatureCacheConfig, InProcessExecutor, MergedSweep,
-    MultiProcessExecutor, ResiliencePolicy, ShardFiles, ShardSpec, SweepCell, SweepConfig,
-    SweepExecutor, SweepHealth, SweepPlan, SweepResult, TableIIIGrid, WorkerSpec,
+    CellKey, CellOutcome, FaultPlan, InProcessExecutor, MergedSweep, MultiProcessExecutor,
+    ResiliencePolicy, ShardFiles, ShardSpec, SweepCell, SweepConfig, SweepExecutor, SweepHealth,
+    SweepPlan, SweepResult, TableIIIGrid, WorkerSpec,
 };

@@ -354,7 +354,6 @@ mod tests {
             n_threads: Some(2),
             resilience: ResiliencePolicy::default(),
             split: hotspot_trees::SplitStrategy::default(),
-            feature_cache: crate::sweep::FeatureCacheConfig::default(),
         }
     }
 

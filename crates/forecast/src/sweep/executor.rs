@@ -1,7 +1,7 @@
 //! The executor layer: running cells of a [`SweepPlan`].
 //!
-//! [`InProcessExecutor`] is the classic path — a crossbeam thread
-//! pool pulling cells off an atomic work queue, with per-cell
+//! [`InProcessExecutor`] is the classic path — a scoped thread pool
+//! pulling cells off an atomic work queue, with per-cell
 //! [`catch_unwind`] panic isolation, bounded deterministic retry,
 //! cooperative soft deadlines, and an append-only checkpoint journal.
 //! It executes any [`ShardSpec`], so one type serves both the
@@ -17,23 +17,22 @@
 use super::collector::{merge_shards, MergedSweep, ShardFiles};
 use super::plan::{CellKey, ShardSpec, SweepPlan};
 use super::{splitmix, CellOutcome, SweepCell, SweepConfig};
-use hotspot_features::plane::PlaneCache;
-use std::sync::Arc;
 use crate::checkpoint::{config_fingerprint, load_checkpoint_sharded, CheckpointWriter};
 use crate::classifier::fit_and_forecast;
 use crate::context::ForecastContext;
 use crate::evaluate::{evaluate_day, EvalRecord};
 use crate::models::ModelSpec;
 use hotspot_core::error::{CoreError, Result as CoreResult};
+use hotspot_features::plane::{self, PlaneCache};
 use hotspot_features::windows::WindowSpec;
 use hotspot_obs as obs;
 use hotspot_trees::CancelToken;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Something that can execute (a shard of) a sweep plan.
@@ -67,9 +66,9 @@ pub struct InProcessExecutor<'a> {
     /// adopted instead of recomputed.
     pub checkpoint: Option<PathBuf>,
     /// Externally supplied feature-plane cache. `None` (the normal
-    /// case) builds one per `execute()` from
-    /// `config.feature_cache`; tests and benches inject a cache here
-    /// to observe its per-instance statistics.
+    /// case) builds one per `execute()` with the
+    /// [`plane::BUDGET_BYTES`] budget; tests inject a cache here to
+    /// observe its per-instance statistics.
     pub plane_cache: Option<Arc<PlaneCache>>,
 }
 
@@ -87,10 +86,11 @@ impl SweepExecutor for InProcessExecutor<'_> {
         }
         let combos = plan.shard_cells(self.shard);
         // One cache per execution, shared by every worker thread (and
-        // both sides of every classifier fit). Byte-transparent: see
-        // `FeatureCacheConfig`.
-        let plane_cache =
-            self.plane_cache.clone().or_else(|| config.feature_cache.build());
+        // both sides of every classifier fit).
+        let plane_cache = self
+            .plane_cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(PlaneCache::new(plane::BUDGET_BYTES)));
 
         let mut done: HashMap<CellKey, SweepCell> = HashMap::new();
         let writer = match &self.checkpoint {
@@ -111,45 +111,50 @@ impl SweepExecutor for InProcessExecutor<'_> {
         let write_error: Mutex<Option<CoreError>> = Mutex::new(None);
         let next = AtomicUsize::new(0);
 
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= combos.len() {
-                        break;
-                    }
-                    let key = combos[idx];
-                    let cell = match done.get(&key) {
-                        Some(prev) => prev.clone(),
-                        None => {
-                            let cell = run_cell_resilient(
-                                self.ctx,
-                                config,
-                                plane_cache.as_ref(),
-                                key.model,
-                                key.t,
-                                key.h,
-                                key.w,
-                            );
-                            if let Some(writer) = &writer {
-                                if let Err(e) = writer.append(&cell) {
-                                    write_error.lock().get_or_insert(e);
-                                }
-                            }
-                            cell
-                        }
-                    };
-                    record_cell_metrics(&cell);
-                    results.lock().push(cell);
-                });
+        // Each worker pulls cells off the shared queue until it drains.
+        let worker = || loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            if idx >= combos.len() {
+                break;
             }
-        })
-        .expect("sweep worker panicked outside cell isolation");
+            let key = combos[idx];
+            let cell = match done.get(&key) {
+                Some(prev) => prev.clone(),
+                None => {
+                    let cell = run_cell_resilient(
+                        self.ctx,
+                        config,
+                        &plane_cache,
+                        key.model,
+                        key.t,
+                        key.h,
+                        key.w,
+                    );
+                    if let Some(writer) = &writer {
+                        if let Err(e) = writer.append(&cell) {
+                            write_error
+                                .lock()
+                                .unwrap_or_else(PoisonError::into_inner)
+                                .get_or_insert(e);
+                        }
+                    }
+                    cell
+                }
+            };
+            record_cell_metrics(&cell);
+            results.lock().unwrap_or_else(PoisonError::into_inner).push(cell);
+        };
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            for handle in workers {
+                handle.join().expect("sweep worker panicked outside cell isolation");
+            }
+        });
 
-        if let Some(e) = write_error.into_inner() {
+        if let Some(e) = write_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
-        Ok(results.into_inner())
+        Ok(results.into_inner().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -287,7 +292,7 @@ fn attempt_seed(seed: u64, attempt: u32) -> u64 {
 fn run_cell_resilient(
     ctx: &ForecastContext,
     config: &SweepConfig,
-    plane_cache: Option<&Arc<PlaneCache>>,
+    plane_cache: &Arc<PlaneCache>,
     model: ModelSpec,
     t: usize,
     h: usize,
@@ -351,7 +356,7 @@ fn run_cell_resilient(
 fn run_cell_once(
     ctx: &ForecastContext,
     config: &SweepConfig,
-    plane_cache: Option<&Arc<PlaneCache>>,
+    plane_cache: &Arc<PlaneCache>,
     model: ModelSpec,
     t: usize,
     h: usize,
@@ -373,7 +378,7 @@ fn run_cell_once(
             .expect("classifier");
         cc.forest_threads = Some(1); // the sweep already parallelises
         cc.cancel = cancel.cloned();
-        cc.plane_cache = plane_cache.cloned();
+        cc.plane_cache = Some(Arc::clone(plane_cache));
         fit_and_forecast(ctx, &spec, &cc).map(|f| f.predictions)
     } else {
         model.forecast(ctx, &spec, config.n_trees, config.train_days, seed, config.split)
@@ -425,7 +430,6 @@ mod tests {
             n_threads: Some(1),
             resilience: ResiliencePolicy::default(),
             split: hotspot_trees::SplitStrategy::default(),
-            feature_cache: crate::sweep::FeatureCacheConfig::default(),
         };
         // A context is expensive; the fingerprint check fires before
         // any cell runs, so a minimal one suffices.

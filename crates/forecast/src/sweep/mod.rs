@@ -39,10 +39,8 @@ use crate::context::ForecastContext;
 use crate::evaluate::EvalRecord;
 use crate::models::ModelSpec;
 use hotspot_core::error::Result as CoreResult;
-use hotspot_features::plane::PlaneCache;
 use hotspot_trees::SplitStrategy;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The paper's Table III grid values.
@@ -151,42 +149,6 @@ impl Default for ResiliencePolicy {
     }
 }
 
-/// Feature-plane cache knobs. Execution plumbing, not science: the
-/// cache is byte-transparent (cached and uncached sweeps produce
-/// identical artifacts), so this struct is **excluded from the config
-/// fingerprint** — cached runs may resume uncached checkpoints and
-/// vice versa.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeatureCacheConfig {
-    /// Whether classifier cells share feature planes at all.
-    pub enabled: bool,
-    /// Byte budget for resident planes, in MiB. Exceeding it evicts
-    /// least-recently-used planes (they rebuild on next use).
-    pub budget_mb: usize,
-}
-
-impl FeatureCacheConfig {
-    /// Default byte budget (MiB).
-    pub const DEFAULT_BUDGET_MB: usize = 256;
-
-    /// Disabled cache (every cell featurises from scratch).
-    pub fn off() -> Self {
-        FeatureCacheConfig { enabled: false, budget_mb: Self::DEFAULT_BUDGET_MB }
-    }
-
-    /// Instantiate the process-wide cache this config describes.
-    pub fn build(&self) -> Option<Arc<PlaneCache>> {
-        self.enabled
-            .then(|| Arc::new(PlaneCache::new(self.budget_mb.saturating_mul(1024 * 1024))))
-    }
-}
-
-impl Default for FeatureCacheConfig {
-    fn default() -> Self {
-        FeatureCacheConfig { enabled: true, budget_mb: Self::DEFAULT_BUDGET_MB }
-    }
-}
-
 /// Sweep configuration.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
@@ -212,8 +174,6 @@ pub struct SweepConfig {
     pub resilience: ResiliencePolicy,
     /// Split-search strategy for every tree-based model in the grid.
     pub split: SplitStrategy,
-    /// Feature-plane cache knobs (fingerprint-excluded plumbing).
-    pub feature_cache: FeatureCacheConfig,
 }
 
 impl SweepConfig {
@@ -232,7 +192,6 @@ impl SweepConfig {
             n_threads: None,
             resilience: ResiliencePolicy::default(),
             split: SplitStrategy::default(),
-            feature_cache: FeatureCacheConfig::default(),
         }
     }
 }
@@ -534,7 +493,6 @@ mod tests {
             n_threads: Some(2),
             resilience: ResiliencePolicy::default(),
             split: SplitStrategy::default(),
-            feature_cache: FeatureCacheConfig::default(),
         }
     }
 

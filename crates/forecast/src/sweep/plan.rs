@@ -42,12 +42,7 @@ impl CellKey {
     /// so the hash must be stable forever.
     pub fn stable_hash(&self) -> u64 {
         let rendered = format!("{}\t{}\t{}\t{}", self.model.name(), self.t, self.h, self.w);
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in rendered.bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        hotspot_obs::fnv1a(rendered.as_bytes())
     }
 
     /// Which of `count` shards owns this cell.
@@ -196,7 +191,6 @@ mod tests {
             n_threads: Some(2),
             resilience: ResiliencePolicy::default(),
             split: SplitStrategy::default(),
-            feature_cache: crate::sweep::FeatureCacheConfig::default(),
         }
     }
 

@@ -276,8 +276,9 @@ pub fn compare_manifests(a: &RunManifest, b: &RunManifest) -> ManifestComparison
     }
 }
 
-/// FNV-1a over arbitrary bytes — the workspace's standard cheap
-/// fingerprint (same constants as the sweep checkpoint header).
+/// FNV-1a over arbitrary bytes — the workspace's one cheap stable
+/// hash: run and sweep-checkpoint config fingerprints, and the sweep
+/// planner's shard keys.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {

@@ -4,7 +4,7 @@
 //! bootstrap resample of the training set, evaluating at most √d
 //! features per partition, and predictions average the per-tree class
 //! probabilities (the soft-voting variant scikit-learn implements).
-//! Trees are fit in parallel with crossbeam scoped threads.
+//! Trees are fit in parallel on scoped threads.
 
 use crate::binned::{BinnedDataset, SplitStrategy, HIST_MIN_NODE_ROWS};
 use crate::cancel::CancelToken;
@@ -119,11 +119,11 @@ impl RandomForest {
         let binned = binned.as_ref();
 
         let mut trees: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
-        crossbeam::thread::scope(|scope| {
-            for (shard_id, shard) in trees.chunks_mut(params.n_trees.div_ceil(threads)).enumerate()
-            {
-                let chunk = params.n_trees.div_ceil(threads);
-                scope.spawn(move |_| {
+        let chunk = params.n_trees.div_ceil(threads);
+        std::thread::scope(|scope| {
+            let mut fitters = Vec::with_capacity(threads);
+            for (shard_id, shard) in trees.chunks_mut(chunk).enumerate() {
+                fitters.push(scope.spawn(move || {
                     for (off, slot) in shard.iter_mut().enumerate() {
                         if params.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                             break;
@@ -131,10 +131,12 @@ impl RandomForest {
                         let t = shard_id * chunk + off;
                         *slot = Some(Self::fit_one(data, binned, params, t as u64));
                     }
-                });
+                }));
             }
-        })
-        .expect("forest fitting thread panicked");
+            for fitter in fitters {
+                fitter.join().expect("forest fitting thread panicked");
+            }
+        });
 
         // A cancelled fit leaves trailing slots empty; keep whatever
         // completed so the caller gets a usable (if weaker) ensemble.
@@ -216,16 +218,19 @@ impl RandomForest {
         }
         let mut out = vec![0.0; n];
         let chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
+            let mut predictors = Vec::with_capacity(threads);
             for (c, slot) in out.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
+                predictors.push(scope.spawn(move || {
                     for (off, o) in slot.iter_mut().enumerate() {
                         *o = self.predict_proba(data.row(c * chunk + off));
                     }
-                });
+                }));
             }
-        })
-        .expect("prediction thread panicked");
+            for predictor in predictors {
+                predictor.join().expect("prediction thread panicked");
+            }
+        });
         out
     }
 

@@ -27,9 +27,6 @@ scripts/perf_baseline.sh
 echo '>>> sweep shard smoke (3-shard merge byte identity)'
 scripts/sweep_shard_smoke.sh
 
-echo '>>> feature-cache parity smoke (cached vs uncached byte identity)'
-scripts/cache_parity_smoke.sh
-
 if [[ "${1:-}" == "--full" ]]; then
   echo '>>> full workspace tests'
   cargo test --workspace -q

@@ -6,14 +6,12 @@
 #   scripts/perf_baseline.sh --record   # re-pin the baseline (after a
 #                                       # deliberate behaviour change)
 #
-# The check re-measures the five pinned stages — exact and histogram
-# forest fits, the cached and uncached `sweep.cell` span aggregates of
-# one reduced sweep (byte-identity and build-at-most-once are hard
-# asserts inside the binary), and the `imputer.fit` span aggregate of
-# an autoencoder training — and hard-fails if any stage's
-# deterministic pinned counter drifts from the recorded baseline;
-# wall-clock drift beyond the tolerance band is flagged as a warning
-# only.
+# The check re-measures the four pinned stages — exact and histogram
+# forest fits, the `sweep.cell` span aggregate of one reduced sweep,
+# and the `imputer.fit` span aggregate of an autoencoder training —
+# and hard-fails if any stage's deterministic pinned counter drifts
+# from the recorded baseline; wall-clock drift beyond the tolerance
+# band is flagged as a warning only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -41,7 +41,6 @@ fn config(models: Vec<ModelSpec>) -> SweepConfig {
         n_threads: Some(2),
         resilience: ResiliencePolicy::default(),
         split: Default::default(),
-        feature_cache: Default::default(),
     }
 }
 

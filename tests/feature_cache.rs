@@ -1,20 +1,22 @@
-//! The feature-plane cache's one hard invariant, end to end: a cached
-//! sweep is **byte-identical** to an uncached one — same canonical
-//! TSV, same health — for any budget, split strategy, shard topology,
-//! or checkpoint-resume history. The cache may only move wall-clock
-//! time, never a number.
+//! The feature-plane cache's one hard invariant, end to end: a sweep
+//! is **byte-identical** — same canonical TSV, same health — whatever
+//! its cache holds, for any split strategy, shard topology, or
+//! checkpoint-resume history. The reference runs use an uncached
+//! sweep in all but name: an injected `PlaneCache::new(1)` keeps no
+//! plane past the next build, so every evicted plane featurises
+//! afresh. The cache may only move wall-clock time, never a number.
 //!
 //! All cache-behaviour assertions use an injected
 //! [`PlaneCache`]'s per-instance [`PlaneCache::stats`]; the global
 //! observability counters are shared across this test process and are
 //! never asserted here.
 
-use hotspot::features::PlaneCache;
+use hotspot::features::{plane, PlaneCache};
 use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
 use hotspot::forecast::sweep::{
-    canonical_tsv, merge_shards, run_sweep, FeatureCacheConfig, InProcessExecutor,
-    ResiliencePolicy, ShardFiles, ShardSpec, SweepConfig, SweepExecutor, SweepPlan, SweepResult,
+    canonical_tsv, merge_shards, run_sweep, InProcessExecutor, ResiliencePolicy, ShardFiles,
+    ShardSpec, SweepConfig, SweepExecutor, SweepPlan, SweepResult,
 };
 use hotspot::trees::SplitStrategy;
 use proptest::prelude::*;
@@ -55,7 +57,6 @@ fn config(
     seed: u64,
     n_threads: usize,
     split: SplitStrategy,
-    feature_cache: FeatureCacheConfig,
 ) -> SweepConfig {
     SweepConfig {
         models: vec![ModelSpec::Average, ModelSpec::RfF1],
@@ -69,7 +70,6 @@ fn config(
         n_threads: Some(n_threads),
         resilience: ResiliencePolicy::default(),
         split,
-        feature_cache,
     }
 }
 
@@ -79,7 +79,7 @@ fn tsv(cfg: &SweepConfig, result: &SweepResult) -> String {
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir =
-        std::env::temp_dir().join(format!("hotspot-feature-cache-{}-{tag}", std::process::id()));
+        std::env::temp_dir().join(format!("hotspot-plane-cache-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -105,11 +105,21 @@ fn run_with_cache(
     SweepResult::from_cells(cells)
 }
 
+/// The reference sweep: same config, run against a cache that evicts
+/// on every build.
+fn run_evicting(cfg: &SweepConfig) -> SweepResult {
+    let cache = Arc::new(PlaneCache::new(1));
+    let result = run_with_cache(cfg, &cache, None);
+    assert!(cache.stats().evictions > 0, "the reference cache must evict");
+    result
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Cached and uncached sweeps are byte-identical for every budget,
-    /// split strategy, seed, and thread count.
+    /// A sweep at the default budget is byte-identical to one whose
+    /// cache evicts on every build, for every split strategy, seed,
+    /// and thread count.
     #[test]
     fn cached_sweep_is_byte_identical_to_uncached(
         n_ts in 1usize..3,
@@ -117,46 +127,30 @@ proptest! {
         seed in 1u64..5,
         n_threads in 1usize..3,
         exact in any::<bool>(),
-        tiny_budget in any::<bool>(),
     ) {
         let ts = vec![20, 24][..n_ts].to_vec();
         let hs = if both_hs { vec![1, 3] } else { vec![1] };
         let split = if exact { SplitStrategy::Exact } else { SplitStrategy::default() };
-        let cache = FeatureCacheConfig {
-            enabled: true,
-            budget_mb: if tiny_budget { 1 } else { FeatureCacheConfig::DEFAULT_BUDGET_MB },
-        };
+        let cfg = config(ts, hs, seed, n_threads, split);
 
-        let cached_cfg = config(ts.clone(), hs.clone(), seed, n_threads, split, cache);
-        let uncached_cfg = config(ts, hs, seed, n_threads, split, FeatureCacheConfig::off());
-
-        let cached = run_sweep(ctx(), &cached_cfg);
-        let uncached = run_sweep(ctx(), &uncached_cfg);
+        let cached = run_sweep(ctx(), &cfg);
+        let reference = run_evicting(&cfg);
         prop_assert!(cached.health.is_clean());
         prop_assert_eq!(
-            tsv(&cached_cfg, &cached),
-            tsv(&uncached_cfg, &uncached),
+            tsv(&cfg, &cached),
+            tsv(&cfg, &reference),
             "cache must be byte-transparent"
         );
     }
 }
 
-/// A 2-shard cached run merges to the same bytes as an uncached
-/// single-process sweep: per-shard caches cannot leak state into the
-/// results.
+/// A 2-shard run merges to the same bytes as a single-process sweep
+/// whose cache evicts on every build: per-shard caches cannot leak
+/// state into the results.
 #[test]
 fn sharded_cached_run_merges_to_uncached_single_process() {
-    let cached_cfg = config(
-        vec![20, 24],
-        vec![1, 3],
-        3,
-        2,
-        SplitStrategy::default(),
-        FeatureCacheConfig::default(),
-    );
-    let uncached_cfg =
-        SweepConfig { feature_cache: FeatureCacheConfig::off(), ..cached_cfg.clone() };
-    let plan = SweepPlan::new(&cached_cfg);
+    let cfg = config(vec![20, 24], vec![1, 3], 3, 2, SplitStrategy::default());
+    let plan = SweepPlan::new(&cfg);
     let dir = scratch_dir("sharded");
     let base = dir.join("sweep.tsv");
     const N: u64 = 2;
@@ -166,7 +160,7 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
             let files = ShardFiles::for_base(&base, shard);
             InProcessExecutor {
                 ctx: ctx(),
-                config: &cached_cfg,
+                config: &cfg,
                 shard,
                 checkpoint: Some(files.checkpoint.clone()),
                 plane_cache: None,
@@ -177,11 +171,10 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
         })
         .collect();
     let merged = merge_shards(&plan, &files).unwrap();
-    let uncached = run_sweep(ctx(), &uncached_cfg);
     assert_eq!(
         canonical_tsv(&plan, &merged.result).unwrap(),
-        tsv(&uncached_cfg, &uncached),
-        "sharded cached merge must equal the uncached single-process sweep"
+        tsv(&cfg, &run_evicting(&cfg)),
+        "sharded merge must equal the evicting single-process sweep"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -191,19 +184,12 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
 /// builds nothing new — build-at-most-once across executes.
 #[test]
 fn resume_and_warm_cache_build_nothing_new() {
-    let cfg = config(
-        vec![20, 24],
-        vec![1, 3],
-        3,
-        2,
-        SplitStrategy::default(),
-        FeatureCacheConfig::default(),
-    );
+    let cfg = config(vec![20, 24], vec![1, 3], 3, 2, SplitStrategy::default());
     let dir = scratch_dir("resume");
     let checkpoint = dir.join("sweep.tsv");
 
     // Fresh run journaling to the checkpoint: planes get built.
-    let warm = Arc::new(PlaneCache::new(256 << 20));
+    let warm = Arc::new(PlaneCache::new(plane::BUDGET_BYTES));
     let first = run_with_cache(&cfg, &warm, Some(checkpoint.clone()));
     let after_first = warm.stats();
     assert!(first.health.is_clean());
@@ -212,7 +198,7 @@ fn resume_and_warm_cache_build_nothing_new() {
 
     // Resume from the complete journal: every cell is adopted, so the
     // cache (a fresh one — nothing warm to serve from) sees no traffic.
-    let idle = Arc::new(PlaneCache::new(256 << 20));
+    let idle = Arc::new(PlaneCache::new(plane::BUDGET_BYTES));
     let resumed = run_with_cache(&cfg, &idle, Some(checkpoint.clone()));
     assert_eq!(idle.stats().builds, 0, "adopted cells must not featurise");
     assert_eq!(resumed.health.resumed, first.cells.len(), "every journaled cell is adopted");

@@ -40,7 +40,6 @@ fn config() -> SweepConfig {
         n_threads: Some(2),
         resilience: ResiliencePolicy::default(),
         split: Default::default(),
-        feature_cache: Default::default(),
     }
 }
 

@@ -64,7 +64,6 @@ fn informed_models_beat_random_in_a_mini_sweep() {
         n_threads: Some(1),
         resilience: Default::default(),
         split: Default::default(),
-        feature_cache: Default::default(),
     };
     let result = run_sweep(&ctx, &sweep);
     assert!(result.n_evaluated() > 0);

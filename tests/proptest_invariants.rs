@@ -270,7 +270,6 @@ proptest! {
             n_threads: Some(1),
             resilience: ResiliencePolicy::default(),
             split: Default::default(),
-            feature_cache: Default::default(),
         };
         let dir = std::env::temp_dir().join("hotspot-proptest-checkpoint");
         std::fs::create_dir_all(&dir).unwrap();

@@ -53,7 +53,6 @@ fn config(models: Vec<ModelSpec>, ts: Vec<usize>, hs: Vec<usize>, ws: Vec<usize>
         n_threads: Some(2),
         resilience: ResiliencePolicy::default(),
         split: Default::default(),
-        feature_cache: Default::default(),
     }
 }
 
