@@ -1,7 +1,7 @@
 //! Per-stage performance baseline for the pipeline's hot stages
 //! (ROADMAP: "per-stage performance baselines").
 //!
-//! Four stages, each pinning one deterministic counter next to its
+//! Five stages, each pinning one deterministic counter next to its
 //! wall-clock measurement:
 //!
 //! * `forest_fit_exact` / `forest_fit_hist` — fit the same forest with
@@ -13,6 +13,9 @@
 //! * `imputer_fit` — train the autoencoder imputer on a gapped
 //!   synthetic tensor and report the `imputer.fit` span aggregate;
 //!   pins `imputer.cells_imputed`.
+//! * `bin_build` — quantise the Raw w=7 training set of one sweep
+//!   cell of the `sweep_cell` context with `BinnedDataset::build`;
+//!   pins `trees.bins_built`.
 //!
 //!   perf_baseline --record [--path BENCH_trees.json]
 //!   perf_baseline --check  [--path BENCH_trees.json]
@@ -31,12 +34,15 @@ use hotspot_core::kpi::KpiCatalog;
 use hotspot_core::pipeline::ScorePipeline;
 use hotspot_core::tensor::Tensor3;
 use hotspot_core::HOURS_PER_WEEK;
+use hotspot_features::plane::PlaneCache;
+use hotspot_features::windows::WindowSpec;
+use hotspot_forecast::classifier::assemble_training;
 use hotspot_forecast::context::{ForecastContext, Target};
 use hotspot_forecast::models::ModelSpec;
 use hotspot_forecast::sweep::{run_sweep, ResiliencePolicy, SweepConfig};
 use hotspot_nn::imputer::{AutoencoderImputer, Imputer, ImputerConfig};
 use hotspot_obs as obs;
-use hotspot_trees::{Dataset, RandomForest, RandomForestParams, SplitStrategy};
+use hotspot_trees::{BinnedDataset, Dataset, RandomForest, RandomForestParams, SplitStrategy};
 use std::time::Instant;
 
 const N_ROWS: usize = 5000;
@@ -183,6 +189,32 @@ fn sweep_stage(ctx: &ForecastContext) -> Stage {
     }
 }
 
+/// Bin the Raw w=7 training set of the sweep stage's first cell (the
+/// set its Tree and RF-R fits quantise), pinning the bins built.
+fn bin_stage(ctx: &ForecastContext) -> Stage {
+    let cfg = sweep_config();
+    let classifier = ModelSpec::RfR
+        .classifier_config(cfg.n_trees, cfg.train_days, cfg.seed, cfg.split)
+        .expect("RF-R is a classifier");
+    let spec = WindowSpec::new(cfg.ts[0], cfg.hs[0], cfg.ws[0]);
+    let data = assemble_training(ctx, &spec, &classifier, &PlaneCache::new(0))
+        .expect("the first sweep cell has a training set");
+    let SplitStrategy::Histogram { max_bins } = cfg.split else {
+        panic!("the sweep stage bins its features");
+    };
+    let before = obs::counter("trees.bins_built").get();
+    let started = Instant::now();
+    let binned = BinnedDataset::build(&data, max_bins);
+    let millis = started.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(binned.n_rows(), data.n_samples());
+    Stage {
+        name: "bin_build",
+        millis,
+        pinned_metric: "trees.bins_built",
+        pinned: obs::counter("trees.bins_built").get() - before,
+    }
+}
+
 /// Train the autoencoder imputer on a gapped synthetic tensor and
 /// report the `imputer.fit` span aggregate, pinning the imputed-cell
 /// count.
@@ -261,9 +293,10 @@ fn measure() -> (Vec<Stage>, f64) {
     let ctx = sweep_context();
     let sweep = best_of(3, || sweep_stage(&ctx));
     let imputer = best_of(3, imputer_stage);
+    let bin = best_of(5, || bin_stage(&ctx));
 
     let exact_over_hist = exact.millis / hist.millis;
-    (vec![exact, hist, sweep, imputer], exact_over_hist)
+    (vec![exact, hist, sweep, imputer, bin], exact_over_hist)
 }
 
 fn to_json(stages: &[Stage], exact_over_hist: f64) -> obs::Json {

@@ -15,6 +15,7 @@ use hotspot_features::builders::{DailyPercentiles, FeatureBuilder, HandCrafted, 
 use hotspot_features::plane::PlaneCache;
 use hotspot_features::windows::{train_window_days, WindowSpec};
 use hotspot_core::matrix::Matrix;
+use hotspot_obs as obs;
 use hotspot_trees::{
     CancelToken, Dataset, DecisionTree, GradientBoosting, GradientBoostingParams, RandomForest,
     RandomForestParams, SplitStrategy, TreeParams,
@@ -208,20 +209,26 @@ fn training_label_days(t: usize, h: usize, w: usize, train_days: usize) -> Vec<u
 }
 
 /// Assemble the training dataset for `(t, h, w)` over all sectors and
-/// `train_days` label days (see [`training_label_days`]). Returns
-/// `None` when no valid training instance exists.
-fn assemble_training(
+/// `train_days` label days (see [`training_label_days`]), gathering
+/// rows from `cache`'s planes. Returns `None` when no valid training
+/// instance exists.
+pub fn assemble_training(
     ctx: &ForecastContext,
     spec: &WindowSpec,
     config: &ClassifierConfig,
     cache: &PlaneCache,
 ) -> Option<Dataset> {
+    let _span = obs::span!("classifier.assemble");
     let builder = config.representation.builder();
     let f = ctx.x.n_features();
     let dim = builder.dim(f, spec.w);
-    let mut rows: Vec<f64> = Vec::new();
-    let mut labels: Vec<bool> = Vec::new();
-    for label_day in training_label_days(spec.t, spec.h, spec.w, config.train_days) {
+    let label_days = training_label_days(spec.t, spec.h, spec.w, config.train_days);
+    // Sized for every sector on every label day, so a wide (Raw) set is
+    // never regrown by doubling.
+    let capacity = label_days.len() * ctx.n_sectors();
+    let mut rows: Vec<f64> = Vec::with_capacity(capacity * dim);
+    let mut labels: Vec<bool> = Vec::with_capacity(capacity);
+    for label_day in label_days {
         let sub = WindowSpec { t: label_day, h: spec.h, w: spec.w };
         let Some((start, end)) = train_window_days(&sub) else {
             continue;

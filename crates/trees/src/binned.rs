@@ -8,7 +8,10 @@
 //! * a [`BinnedDataset`] is built **once per fit** (once per *forest*,
 //!   shared read-only across all trees): per-feature quantile bin
 //!   edges plus `u8`/`u16` bin codes stored column-major so the
-//!   per-feature accumulation loop scans contiguous memory;
+//!   per-feature accumulation loop scans contiguous memory. The build
+//!   is a sort-once kernel — tiled transpose, one packed-`u64` sort
+//!   per column, then cuts and codes from linear walks of the sorted
+//!   column — and often costs more than growing the forest on it;
 //! * a [`NodeHistogram`] accumulates a `(bin × {a, b})` pair table for
 //!   one node — `(weight, positive_weight)` for classification trees,
 //!   `(gradient, hessian)` for GBDT — and split search walks bins
@@ -24,6 +27,7 @@
 //! (see DESIGN.md §9).
 
 use crate::dataset::Dataset;
+use hotspot_obs as obs;
 
 /// How a tree searches for split points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,45 +96,71 @@ pub struct BinnedDataset {
 
 impl BinnedDataset {
     /// Bin every feature of `data` into at most `max_bins` quantile
-    /// bins (`max_bins` is clamped to ≥ 2). Cost: one sort per
-    /// feature, `O(d · n log n)` — paid once per fit.
+    /// bins (`max_bins` is clamped to ≥ 2). Paid once per fit.
+    ///
+    /// Cost: one `O(n · d)` tiled transpose, then per feature one
+    /// primitive `u64` sort of packed `(value key, row)` words
+    /// (`O(n log n)`), and two linear passes over the sorted column —
+    /// one for the cuts, one assigning every row its code. The output
+    /// is a function of each column's sorted multiset only, so it is
+    /// the same whatever order equal values sort in (DESIGN.md §9).
     pub fn build(data: &Dataset, max_bins: u16) -> Self {
+        let _span = obs::span!("trees.bin");
         let n = data.n_samples();
         let d = data.n_features();
-        let max_bins = max_bins.max(2) as usize;
+        let max_bins = usize::from(max_bins.max(2));
+        // Low bits of a packed sort word hold the row index.
+        let row_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
+        let row_mask = (1u64 << row_bits) - 1;
         let mut offsets = Vec::with_capacity(d + 1);
         let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
         offsets.push(0usize);
-        let mut column: Vec<f64> = Vec::with_capacity(n);
-        for f in 0..d {
-            column.clear();
-            column.extend((0..n).map(|i| data.feature(i, f)));
-            column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite features"));
-            cuts.push(feature_cuts(&column, max_bins));
-            let n_bins = cuts[f].len() + 1;
-            offsets.push(offsets[f] + n_bins);
-        }
-        let widest = (0..d).map(|f| cuts[f].len() + 1).max().unwrap_or(1);
-        let mut binned = BinnedDataset {
-            n_rows: n,
-            n_features: d,
-            offsets,
-            cuts,
-            codes: if widest <= usize::from(u8::MAX) + 1 {
-                Codes::U8(vec![0; n * d])
-            } else {
-                Codes::U16(vec![0; n * d])
-            },
+        let mut codes = if max_bins <= usize::from(u8::MAX) + 1 {
+            Codes::U8(vec![0; n * d])
+        } else {
+            Codes::U16(vec![0; n * d])
         };
-        for f in 0..d {
+        let mut tile: Vec<u64> = Vec::with_capacity(n * TILE_FEATURES.min(d));
+        let mut order: Vec<u64> = Vec::with_capacity(n);
+        let mut sorted: Vec<f64> = Vec::with_capacity(n);
+        for f0 in (0..d).step_by(TILE_FEATURES) {
+            let f1 = (f0 + TILE_FEATURES).min(d);
+            // Transpose a block of features into contiguous key columns.
+            tile.clear();
+            tile.resize(n * (f1 - f0), 0);
             for i in 0..n {
-                let code = binned.cuts[f].partition_point(|&c| c < data.feature(i, f));
-                match &mut binned.codes {
-                    Codes::U8(v) => v[f * n + i] = code as u8,
-                    Codes::U16(v) => v[f * n + i] = code as u16,
+                for (b, &v) in data.row(i)[f0..f1].iter().enumerate() {
+                    tile[b * n + i] = order_key(v);
                 }
             }
+            for f in f0..f1 {
+                let keys = &tile[(f - f0) * n..(f - f0 + 1) * n];
+                sort_rows(keys, row_mask, &mut order);
+                sorted.clear();
+                sorted.extend(order.iter().map(|&row| from_order_key(keys[row as usize])));
+                let feature = feature_cuts(&sorted, max_bins);
+                let column = f * n..(f + 1) * n;
+                match &mut codes {
+                    Codes::U8(v) => {
+                        assign_codes(&order, &sorted, &feature, &mut v[column], |c| c as u8)
+                    }
+                    Codes::U16(v) => {
+                        assign_codes(&order, &sorted, &feature, &mut v[column], |c| c as u16)
+                    }
+                }
+                offsets.push(offsets[f] + feature.len() + 1);
+                cuts.push(feature);
+            }
         }
+        // Wide `max_bins` still stores `u8` codes when no feature needs more.
+        let widest = (0..d).map(|f| offsets[f + 1] - offsets[f]).max().unwrap_or(1);
+        if let Codes::U16(v) = &codes {
+            if widest <= usize::from(u8::MAX) + 1 {
+                codes = Codes::U8(v.iter().map(|&c| c as u8).collect());
+            }
+        }
+        let binned = BinnedDataset { n_rows: n, n_features: d, offsets, cuts, codes };
+        obs::counter("trees.bins_built").add(binned.total_bins() as u64);
         binned
     }
 
@@ -238,40 +268,96 @@ impl BinnedDataset {
     }
 }
 
+/// Features per transpose tile: each row read is a run of 64
+/// contiguous `f64`s (whole cache lines), and the tile's key columns
+/// are sorted soon after they are written, while still cached.
+const TILE_FEATURES: usize = 64;
+
+/// An order-preserving `u64` image of a finite `f64`: `a < b` ⇔
+/// `order_key(a) < order_key(b)`, except that `-0.0` sorts just below
+/// `0.0`. Negative values flip every bit; the rest set the sign bit.
+#[inline]
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+#[inline]
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key & !(1 << 63) } else { !key })
+}
+
+/// Fill `order` with one column's row indices in ascending value
+/// order. One primitive sort orders packed words `(key & !row_mask) |
+/// row`; rows whose keys agree above `row_mask` are then re-sorted by
+/// their full key, so the order is exact and the worst case stays
+/// `O(n log n)`.
+fn sort_rows(keys: &[u64], row_mask: u64, order: &mut Vec<u64>) {
+    order.clear();
+    order.extend(keys.iter().zip(0u64..).map(|(&k, row)| (k & !row_mask) | row));
+    order.sort_unstable();
+    let full_key = |p: &u64| keys[(p & row_mask) as usize];
+    for run in order.chunk_by_mut(|a, b| (a ^ b) & !row_mask == 0) {
+        if run.len() > 1 && !run.is_sorted_by_key(full_key) {
+            run.sort_unstable_by_key(full_key);
+        }
+    }
+    for p in order.iter_mut() {
+        *p &= row_mask;
+    }
+}
+
+/// Write each row's bin code in one walk of the sorted column: the
+/// code is the number of cuts below the value, i.e.
+/// `cuts.partition_point(|&c| c < v)` (the cuts ascend, so the count
+/// only grows along the walk).
+fn assign_codes<C>(
+    rows: &[u64],
+    sorted: &[f64],
+    cuts: &[f64],
+    out: &mut [C],
+    code: impl Fn(usize) -> C,
+) {
+    let mut bin = 0;
+    for (&row, &v) in rows.iter().zip(sorted) {
+        while bin < cuts.len() && cuts[bin] < v {
+            bin += 1;
+        }
+        out[row as usize] = code(bin);
+    }
+}
+
 /// Cut points for one sorted feature column: one bin per distinct
 /// value when they fit in `max_bins`, greedy equal-count quantile
 /// grouping otherwise. Cuts are midpoints between adjacent
 /// *represented* values, so assigning rows by `partition_point` over
 /// the cuts reproduces exact search's `value <= threshold` routing.
 fn feature_cuts(sorted: &[f64], max_bins: usize) -> Vec<f64> {
-    // Distinct values with multiplicities.
-    let mut distinct: Vec<(f64, usize)> = Vec::new();
-    for &v in sorted {
-        match distinct.last_mut() {
-            Some((last, count)) if *last == v => *count += 1,
-            _ => distinct.push((v, 1)),
-        }
-    }
-    let m = distinct.len();
-    if m <= 1 {
+    let distinct = 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count();
+    if distinct <= 1 {
         return Vec::new();
     }
-    if m <= max_bins {
-        return distinct.windows(2).map(|w| 0.5 * (w[0].0 + w[1].0)).collect();
-    }
-    // Greedy quantile grouping: close a bin whenever the cumulative
-    // count reaches the next equal-count boundary. At most one cut per
-    // distinct value keeps every bin non-empty.
+    // Greedy quantile grouping when the distinct values do not fit:
+    // close a bin whenever the count of values below the boundary
+    // reaches the next equal-count mark. At most one cut per distinct
+    // value keeps every bin non-empty.
+    let grouped = distinct > max_bins;
     let per_bin = sorted.len() as f64 / max_bins as f64;
-    let mut cuts = Vec::with_capacity(max_bins - 1);
-    let mut cum = 0usize;
-    for w in distinct.windows(2) {
-        cum += w[0].1;
+    let mut cuts = Vec::with_capacity(distinct.min(max_bins) - 1);
+    for (j, w) in sorted.windows(2).enumerate() {
+        if w[0] == w[1] {
+            continue;
+        }
         if cuts.len() + 1 >= max_bins {
             break;
         }
-        if cum as f64 >= per_bin * (cuts.len() + 1) as f64 {
-            cuts.push(0.5 * (w[0].0 + w[1].0));
+        if !grouped || (j + 1) as f64 >= per_bin * (cuts.len() + 1) as f64 {
+            cuts.push(0.5 * (w[0] + w[1]));
         }
     }
     cuts
@@ -375,6 +461,158 @@ impl HistPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle: the two-pass build the sort-once kernel replaced —
+    /// a `partial_cmp` sort per strided column, a distinct-value list,
+    /// then a binary search over the cuts per value.
+    fn two_pass_build(data: &Dataset, max_bins: u16) -> BinnedDataset {
+        let n = data.n_samples();
+        let d = data.n_features();
+        let max_bins = max_bins.max(2) as usize;
+        let mut offsets = vec![0usize];
+        let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
+        let mut column: Vec<f64> = Vec::with_capacity(n);
+        for f in 0..d {
+            column.clear();
+            column.extend((0..n).map(|i| data.feature(i, f)));
+            column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite features"));
+            cuts.push(two_pass_cuts(&column, max_bins));
+            offsets.push(offsets[f] + cuts[f].len() + 1);
+        }
+        let widest = (0..d).map(|f| cuts[f].len() + 1).max().unwrap_or(1);
+        let mut binned = BinnedDataset {
+            n_rows: n,
+            n_features: d,
+            offsets,
+            cuts,
+            codes: if widest <= usize::from(u8::MAX) + 1 {
+                Codes::U8(vec![0; n * d])
+            } else {
+                Codes::U16(vec![0; n * d])
+            },
+        };
+        for f in 0..d {
+            for i in 0..n {
+                let code = binned.cuts[f].partition_point(|&c| c < data.feature(i, f));
+                match &mut binned.codes {
+                    Codes::U8(v) => v[f * n + i] = code as u8,
+                    Codes::U16(v) => v[f * n + i] = code as u16,
+                }
+            }
+        }
+        binned
+    }
+
+    fn two_pass_cuts(sorted: &[f64], max_bins: usize) -> Vec<f64> {
+        let mut distinct: Vec<(f64, usize)> = Vec::new();
+        for &v in sorted {
+            match distinct.last_mut() {
+                Some((last, count)) if *last == v => *count += 1,
+                _ => distinct.push((v, 1)),
+            }
+        }
+        let m = distinct.len();
+        if m <= 1 {
+            return Vec::new();
+        }
+        if m <= max_bins {
+            return distinct.windows(2).map(|w| 0.5 * (w[0].0 + w[1].0)).collect();
+        }
+        let per_bin = sorted.len() as f64 / max_bins as f64;
+        let mut cuts = Vec::with_capacity(max_bins - 1);
+        let mut cum = 0usize;
+        for w in distinct.windows(2) {
+            cum += w[0].1;
+            if cuts.len() + 1 >= max_bins {
+                break;
+            }
+            if cum as f64 >= per_bin * (cuts.len() + 1) as f64 {
+                cuts.push(0.5 * (w[0].0 + w[1].0));
+            }
+        }
+        cuts
+    }
+
+    /// One column of each adversarial kind, `n` rows, from `seed`.
+    fn adversarial(n: usize, seed: u64) -> Dataset {
+        const KINDS: usize = 7;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let signed = [-0.0, 0.0, -1.5, -2.0, 1.0, -1e-300, 5e-324, -5e-324];
+        let mut features = Vec::with_capacity(n * KINDS);
+        for i in 0..n {
+            let r = next();
+            // A permutation of 0..n, so ULP-adjacent values arrive shuffled.
+            let shuffled = (i as u64 * 7919 + seed % 13) % n as u64;
+            features.extend([
+                ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e3,
+                (r % 5) as f64 * 0.5 - 1.0,
+                3.25,
+                signed[(r % signed.len() as u64) as usize],
+                f64::from_bits(1.0f64.to_bits() + shuffled),
+                f64::from_bits((-3.0f64).to_bits() + (r % 64)),
+                (r % 1000) as f64,
+            ]);
+        }
+        Dataset::new(features, KINDS, vec![true; n]).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// The sort-once kernel reproduces the two-pass build bit for
+        /// bit: offsets, cuts (`to_bits`), code width and every code.
+        #[test]
+        fn kernel_matches_two_pass_oracle(seed in any::<u64>()) {
+            for n in [1usize, 2, 255, 256, 257, 4097] {
+                let data = adversarial(n, seed);
+                for max_bins in [2u16, 16, 255, 256, 600] {
+                    let got = BinnedDataset::build(&data, max_bins);
+                    let want = two_pass_build(&data, max_bins);
+                    prop_assert_eq!(&got.offsets, &want.offsets, "n={} max_bins={}", n, max_bins);
+                    for f in 0..data.n_features() {
+                        let bits = |b: &BinnedDataset| -> Vec<u64> {
+                            b.cuts[f].iter().map(|c| c.to_bits()).collect()
+                        };
+                        let at = format!("f={f} n={n} max_bins={max_bins}");
+                        prop_assert_eq!(bits(&got), bits(&want), "cuts {}", at);
+                        let codes = |b: &BinnedDataset| -> Vec<usize> {
+                            (0..n).map(|i| b.code(i, f)).collect()
+                        };
+                        prop_assert_eq!(codes(&got), codes(&want), "codes {}", at);
+                    }
+                    let same_width = matches!(
+                        (&got.codes, &want.codes),
+                        (Codes::U8(_), Codes::U8(_)) | (Codes::U16(_), Codes::U16(_))
+                    );
+                    prop_assert!(same_width, "code width n={} max_bins={}", n, max_bins);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_key_preserves_order_and_round_trips() {
+        let values = [f64::MIN, -2.5, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0, f64::MAX];
+        for w in values.windows(2) {
+            assert!(order_key(w[0]) < order_key(w[1]), "{} vs {}", w[0], w[1]);
+        }
+        for v in values {
+            assert_eq!(from_order_key(order_key(v)).to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn empty_dataset_bins_every_feature_once() {
+        let b = BinnedDataset::build(&Dataset::new(Vec::new(), 3, Vec::new()).unwrap(), 255);
+        assert_eq!(b.total_bins(), 3);
+    }
 
     fn data(features: Vec<f64>, d: usize) -> Dataset {
         let n = features.len() / d;

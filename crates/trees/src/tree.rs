@@ -133,6 +133,7 @@ impl DecisionTree {
     /// # Panics
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, params: &TreeParams) -> Self {
+        let _span = obs::span!("tree.fit");
         assert!(data.n_samples() > 0, "cannot fit on an empty dataset");
         let binned = match params.split {
             SplitStrategy::Histogram { max_bins } if data.n_samples() >= HIST_MIN_NODE_ROWS => {

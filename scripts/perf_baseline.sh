@@ -6,12 +6,13 @@
 #   scripts/perf_baseline.sh --record   # re-pin the baseline (after a
 #                                       # deliberate behaviour change)
 #
-# The check re-measures the four pinned stages — exact and histogram
+# The check re-measures the five pinned stages — exact and histogram
 # forest fits, the `sweep.cell` span aggregate of one reduced sweep,
-# and the `imputer.fit` span aggregate of an autoencoder training —
-# and hard-fails if any stage's deterministic pinned counter drifts
-# from the recorded baseline; wall-clock drift beyond the tolerance
-# band is flagged as a warning only.
+# the `imputer.fit` span aggregate of an autoencoder training, and one
+# `BinnedDataset::build` of a Raw training set — and hard-fails if any
+# stage's deterministic pinned counter drifts from the recorded
+# baseline; wall-clock drift beyond the tolerance band is flagged as a
+# warning only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -115,6 +115,36 @@ fn sweep_metrics_agree_with_health_and_manifest_round_trips() {
     assert!(!back.metrics.is_empty());
     assert_eq!(back.metrics.spans["sweep.cell"].count as usize, result.cells.len());
 
+    // Classifier cells leave the fitting layers' spans: assembly, the
+    // single tree, and the binning inside every tree and forest fit,
+    // with `trees.bins_built` counting the bins those builds made.
+    let classifiers = SweepConfig {
+        models: vec![ModelSpec::Tree, ModelSpec::RfF1],
+        ts: vec![24, 28],
+        hs: vec![1],
+        ws: vec![3],
+        n_trees: 2,
+        ..config()
+    };
+    let fitted = run_sweep_resumable(&c, &classifiers, None).unwrap();
+    assert!(fitted.health.evaluated > 0, "{}", fitted.health.summary());
+    let snap3 = registry.snapshot();
+    let calls = |name: &str| -> u64 {
+        let suffix = format!("/{name}");
+        snap3
+            .spans
+            .iter()
+            .filter(|(path, _)| *path == name || path.ends_with(&suffix))
+            .map(|(_, stat)| stat.count)
+            .sum()
+    };
+    for layer in ["classifier.assemble", "tree.fit", "forest.fit", "trees.bin"] {
+        assert!(calls(layer) > 0, "no {layer} span");
+    }
+    assert_eq!(calls("tree.fit") + calls("forest.fit"), calls("trees.bin"), "one build per fit");
+    let bins = snap3.counters.get("trees.bins_built").copied().unwrap_or(0);
+    assert!(bins >= calls("trees.bin"), "every build bins each feature at least once: {bins}");
+
     obs::set_spans_enabled(false);
     std::fs::remove_dir_all(&dir).ok();
 }
