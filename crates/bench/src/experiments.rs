@@ -8,10 +8,12 @@ use hotspot_eval::lift::delta_percent;
 use hotspot_forecast::context::{ForecastContext, Target};
 use hotspot_forecast::models::ModelSpec;
 use hotspot_forecast::sweep::{
-    merge_shards, run_sweep_resumable, InProcessExecutor, ResiliencePolicy, ShardFiles,
-    ShardSpec, SweepConfig, SweepExecutor, SweepPlan, SweepResult, TableIIIGrid,
+    canonical_tsv, deterministic_projection, merge_shards, run_sweep_resumable,
+    InProcessExecutor, MergedSweep, ResiliencePolicy, ShardFiles, ShardSpec, SweepConfig,
+    SweepPlan, SweepResult, TableIIIGrid,
 };
 use hotspot_obs as obs;
+use std::path::{Path, PathBuf};
 
 /// Build a forecast context for a prepared dataset and target.
 ///
@@ -41,11 +43,14 @@ pub fn resilience(opts: &RunOptions) -> ResiliencePolicy {
 ///
 /// * `--shard I` (worker): compute only shard `I` of `--shards`,
 ///   journaling to the shard-derived checkpoint; the returned
-///   `SweepResult` covers only that shard's cells.
+///   `SweepResult` covers only that shard's cells, so a `partial:`
+///   line on stdout marks the tables that follow as incomplete.
 /// * `--merge` (collector): compute nothing — validate and merge the
 ///   `--shards` existing shard files and return the full merged
 ///   result, refusing (with the `manifest_check --compare` style
-///   diagnostic) if the shards disagree.
+///   diagnostic) if the shards disagree. It also writes the
+///   deterministic artifacts `<base>.merged.tsv` and
+///   `<base>.merged.metrics.json` next to the base path.
 pub fn run_sweep_with_options(
     ctx: &ForecastContext,
     config: &SweepConfig,
@@ -78,6 +83,7 @@ pub fn run_sweep_with_options(
             merged.result.cells.len(),
             merged.fingerprint
         );
+        write_merged_artifacts(base, &plan, &merged);
         return finish(merged.result);
     }
 
@@ -104,7 +110,11 @@ pub fn run_sweep_with_options(
             obs::error!("sweep shard {shard} error: {e}");
             std::process::exit(2);
         });
-        obs::info!("shard {shard}: {} of {} plan cells done", cells.len(), plan.n_cells());
+        print_section(&format!(
+            "partial: shard {shard} ran {} of {} plan cells; combine the shards with --merge",
+            cells.len(),
+            plan.n_cells()
+        ));
         return finish(SweepResult::from_cells(cells));
     }
 
@@ -123,6 +133,27 @@ pub fn run_sweep_with_options(
             std::process::exit(2);
         });
     finish(result)
+}
+
+/// Write the collector's deterministic artifacts next to `base`:
+/// `<base>.merged.tsv` ([`canonical_tsv`]) and, when every shard left
+/// a manifest, `<base>.merged.metrics.json` (the
+/// [`deterministic_projection`] of the merged shard metrics). Both are
+/// byte-identical for any shard count of one configuration.
+fn write_merged_artifacts(base: &Path, plan: &SweepPlan, merged: &MergedSweep) {
+    let write = |path: PathBuf, contents: String| {
+        if let Err(e) = std::fs::write(&path, contents) {
+            obs::error!("cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+        obs::info!("wrote {}", path.display());
+    };
+    let tsv = canonical_tsv(plan, &merged.result).expect("a merged sweep covers its plan");
+    write(base.with_extension("merged.tsv"), tsv);
+    if let Some(metrics) = &merged.metrics {
+        let json = deterministic_projection(metrics).to_json().render();
+        write(base.with_extension("merged.metrics.json"), format!("{json}\n"));
+    }
 }
 
 /// Run the `(model, t, h)` sweep at a fixed window `w`.

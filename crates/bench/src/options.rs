@@ -2,6 +2,8 @@
 //! external argument-parsing dependency needed for `--key value`
 //! flags).
 
+use hotspot_forecast::sweep::{ShardFiles, ShardSpec};
+
 /// Which imputer fills the injected gaps before scoring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImputerChoice {
@@ -65,7 +67,8 @@ pub struct RunOptions {
     /// not science: it never enters config fingerprints.
     pub shards: u64,
     /// Worker mode: run only shard `I` of `--shards` (`--shard I`),
-    /// journaling to the shard-derived checkpoint path.
+    /// journaling to the shard-derived checkpoint path. Without
+    /// `--manifest`, the manifest goes to the shard-derived sidecar.
     pub shard: Option<u64>,
     /// Merge mode: adopt existing shard checkpoints/manifests instead
     /// of computing, and continue with the merged result.
@@ -232,9 +235,23 @@ impl RunOptions {
                 std::process::exit(2);
             }
         }
+        if opts.shards > 1 && opts.shard.is_none() && !opts.merge {
+            eprintln!(
+                "--shards {} needs --shard I (run one shard) or --merge (combine the shards); \
+                 launch one --shard I worker per shard, then --merge",
+                opts.shards
+            );
+            std::process::exit(2);
+        }
         if (opts.shard.is_some() || opts.merge || opts.shards > 1) && opts.checkpoint.is_none() {
             eprintln!("--shards/--shard/--merge need --checkpoint PATH as the shard file base");
             std::process::exit(2);
+        }
+        // A worker's manifest is the sidecar `--merge` cross-checks, so
+        // it defaults to the shard-derived path.
+        if let (Some(index), Some(base), None) = (opts.shard, &opts.checkpoint, &opts.manifest) {
+            let shard = ShardSpec { index, count: opts.shards };
+            opts.manifest = Some(ShardFiles::for_base(base, shard).manifest);
         }
         opts
     }
@@ -364,8 +381,20 @@ mod tests {
         let w = parse(&["--checkpoint", "/tmp/sweep.tsv", "--shards", "3", "--shard", "1"]);
         assert_eq!(w.shards, 3);
         assert_eq!(w.shard, Some(1));
+        // A worker writes the manifest sidecar `--merge` cross-checks…
+        assert_eq!(
+            w.manifest.as_deref(),
+            Some(std::path::Path::new("/tmp/sweep.shard-1-of-3.manifest.json"))
+        );
+        // …unless an explicit --manifest says otherwise.
+        let e = parse(&[
+            "--manifest", "/tmp/own.json", "--checkpoint", "/tmp/sweep.tsv", "--shards", "3",
+            "--shard", "1",
+        ]);
+        assert_eq!(e.manifest.as_deref(), Some(std::path::Path::new("/tmp/own.json")));
         let m = parse(&["--checkpoint", "/tmp/sweep.tsv", "--shards", "3", "--merge"]);
         assert!(m.merge);
+        assert!(m.manifest.is_none(), "only workers get a default sidecar");
     }
 
     #[test]

@@ -18,6 +18,11 @@
 //!    the [`canonical_tsv`] / [`deterministic_projection`] artifacts
 //!    are byte-identical to a single-process run of the same config —
 //!    regardless of shard count, thread count, or resume history.
+//!
+//! Every sweep binary's `--shards N --merge` mode calls
+//! [`merge_shards`] and writes both artifacts next to its checkpoint
+//! base: `<base>.merged.tsv` and, when every shard left a manifest,
+//! `<base>.merged.metrics.json`.
 
 use super::plan::{CellKey, ShardSpec, SweepPlan};
 use super::{CellOutcome, SweepCell, SweepResult};

@@ -8,13 +8,11 @@
 //! single-process whole ([`ShardSpec::FULL`]) and a `--shard i/n`
 //! worker process.
 //!
-//! [`MultiProcessExecutor`] scales past one process: it spawns one
-//! worker process per shard (each an [`InProcessExecutor`] under the
-//! hood, journaling its own checkpoint and writing a manifest
-//! sidecar), waits for all of them, and hands the shard files to
-//! [`merge_shards`](super::collector::merge_shards).
+//! A multi-process sweep is N processes, each running an
+//! [`InProcessExecutor`] over its own shard (`--shards N --shard I`
+//! on any sweep binary); [`merge_shards`](super::collector::merge_shards)
+//! combines their shard files afterwards (`--shards N --merge`).
 
-use super::collector::{merge_shards, MergedSweep, ShardFiles};
 use super::plan::{CellKey, ShardSpec, SweepPlan};
 use super::{splitmix, CellOutcome, SweepCell, SweepConfig};
 use crate::checkpoint::{config_fingerprint, load_checkpoint_sharded, CheckpointWriter};
@@ -30,26 +28,9 @@ use hotspot_trees::CancelToken;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Something that can execute (a shard of) a sweep plan.
-///
-/// Executors return bare cells; assembling a
-/// [`SweepResult`](super::SweepResult) (health report, canonical
-/// ordering) is the collector's job, shared by every implementation.
-pub trait SweepExecutor {
-    /// Run the cells this executor covers and return their outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure failures only — checkpoint I/O/validation, or a
-    /// dead worker process. Cell-level panics, timeouts, and retries
-    /// degrade to structured [`CellOutcome`]s instead of erroring.
-    fn execute(&self, plan: &SweepPlan) -> CoreResult<Vec<SweepCell>>;
-}
 
 /// Thread-pool executor for one shard (or the unsharded whole) of a
 /// plan, refactored from the original `run_sweep_resumable` monolith:
@@ -72,8 +53,19 @@ pub struct InProcessExecutor<'a> {
     pub plane_cache: Option<Arc<PlaneCache>>,
 }
 
-impl SweepExecutor for InProcessExecutor<'_> {
-    fn execute(&self, plan: &SweepPlan) -> CoreResult<Vec<SweepCell>> {
+impl InProcessExecutor<'_> {
+    /// Run the cells of this executor's shard and return their
+    /// outcomes. Executors return bare cells; assembling a
+    /// [`SweepResult`](super::SweepResult) (health report, canonical
+    /// ordering) is the collector's job.
+    ///
+    /// # Errors
+    ///
+    /// Infrastructure failures only — a config that does not match the
+    /// plan, or checkpoint I/O/validation. Cell-level panics, timeouts,
+    /// and retries degrade to structured [`CellOutcome`]s instead of
+    /// erroring.
+    pub fn execute(&self, plan: &SweepPlan) -> CoreResult<Vec<SweepCell>> {
         let _span = obs::span!("sweep");
         let config = self.config;
         self.shard.validate()?;
@@ -155,100 +147,6 @@ impl SweepExecutor for InProcessExecutor<'_> {
             return Err(e);
         }
         Ok(results.into_inner().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-/// How [`MultiProcessExecutor`] invokes a worker process: `program`
-/// runs with `args` plus `--shards <n> --shard <i>` appended. The
-/// worker must run its shard with checkpoints/manifests at the
-/// executor's base path (the `sweep_worker` bench binary does exactly
-/// this when re-exec'd with its own argv).
-#[derive(Debug, Clone)]
-pub struct WorkerSpec {
-    /// Binary to spawn (typically `std::env::current_exe()`).
-    pub program: PathBuf,
-    /// Arguments shared by every worker, *without* shard flags.
-    pub args: Vec<String>,
-}
-
-/// Executor that partitions the plan across `shards` worker
-/// *processes* and merges their shard files back into one result.
-///
-/// Worker `i` must journal to
-/// [`ShardFiles::for_base`]`(base, i/n)` paths; after every worker
-/// exits cleanly the collector validates fingerprints and merges. A
-/// worker that dies mid-shard leaves a crash-consistent checkpoint —
-/// rerunning the same executor resumes the missing cells.
-#[derive(Debug, Clone)]
-pub struct MultiProcessExecutor {
-    /// How to invoke one worker.
-    pub worker: WorkerSpec,
-    /// Number of shards / worker processes (≥ 1).
-    pub shards: u64,
-    /// Base path shard files derive from (e.g. `out/sweep.tsv` →
-    /// `out/sweep.shard-0-of-3.tsv`).
-    pub base: PathBuf,
-}
-
-impl MultiProcessExecutor {
-    /// The shard-file layout this executor expects workers to fill.
-    pub fn shard_files(&self) -> Vec<ShardFiles> {
-        (0..self.shards)
-            .map(|i| ShardFiles::for_base(&self.base, ShardSpec { index: i, count: self.shards }))
-            .collect()
-    }
-
-    /// Spawn all workers, wait for them, and merge their shards.
-    ///
-    /// # Errors
-    ///
-    /// Spawn failures and non-zero worker exits (as
-    /// [`CoreError::Io`] naming the shard), plus every
-    /// [`merge_shards`] validation error.
-    pub fn run(&self, plan: &SweepPlan) -> CoreResult<MergedSweep> {
-        ShardSpec { index: 0, count: self.shards }.validate()?;
-        let mut children = Vec::with_capacity(self.shards as usize);
-        for i in 0..self.shards {
-            let child = Command::new(&self.worker.program)
-                .args(&self.worker.args)
-                .arg("--shards")
-                .arg(self.shards.to_string())
-                .arg("--shard")
-                .arg(i.to_string())
-                .stdout(Stdio::null())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| {
-                    CoreError::Io(format!(
-                        "failed to spawn shard {i}/{} worker {:?}: {e}",
-                        self.shards, self.worker.program
-                    ))
-                })?;
-            children.push((i, child));
-        }
-        let mut first_failure: Option<CoreError> = None;
-        for (i, mut child) in children {
-            let status = child
-                .wait()
-                .map_err(|e| CoreError::Io(format!("failed to wait for shard {i} worker: {e}")))?;
-            if !status.success() && first_failure.is_none() {
-                first_failure = Some(CoreError::Io(format!(
-                    "shard {i}/{} worker exited with {status} — its checkpoint is \
-                     crash-consistent; rerun to resume the missing cells",
-                    self.shards
-                )));
-            }
-        }
-        if let Some(e) = first_failure {
-            return Err(e);
-        }
-        merge_shards(plan, &self.shard_files())
-    }
-}
-
-impl SweepExecutor for MultiProcessExecutor {
-    fn execute(&self, plan: &SweepPlan) -> CoreResult<Vec<SweepCell>> {
-        Ok(self.run(plan)?.result.cells)
     }
 }
 

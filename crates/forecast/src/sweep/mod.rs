@@ -8,19 +8,21 @@
 //! * **plan** ([`SweepPlan`]) — enumerate the grid in one canonical
 //!   order, carry the config fingerprint, and partition the cells into
 //!   N deterministic shards by stable cell key;
-//! * **executor** ([`SweepExecutor`]) — actually run cells.
-//!   [`InProcessExecutor`] is the classic thread-pool path with
-//!   per-cell [`catch_unwind`](std::panic::catch_unwind) panic
-//!   isolation, bounded deterministic retry, cooperative deadlines
-//!   (see [`CancelToken`](hotspot_trees::CancelToken)), and an
-//!   append-only checkpoint journal. [`MultiProcessExecutor`] spawns
-//!   one worker *process* per shard (`--shard i/N`), each journaling
-//!   its own checkpoint plus metrics/manifest sidecars;
+//! * **executor** ([`InProcessExecutor`]) — actually run cells: a
+//!   thread pool with per-cell
+//!   [`catch_unwind`](std::panic::catch_unwind) panic isolation,
+//!   bounded deterministic retry, cooperative deadlines (see
+//!   [`CancelToken`](hotspot_trees::CancelToken)), and an append-only
+//!   checkpoint journal, restricted to one shard of the plan. A
+//!   multi-process run is N processes each executing one shard
+//!   (`--shards N --shard I` on a sweep binary), each journaling its
+//!   own checkpoint plus a manifest sidecar;
 //! * **collector** ([`merge_shards`]) — validate that every shard
 //!   belongs to the same configuration (checkpoint fingerprints, and
 //!   manifest sidecars when present) and merge the shards back into a
 //!   single [`SweepResult`] whose deterministic artifacts are
-//!   byte-identical to a single-process run of the same config.
+//!   byte-identical to a single-process run of the same config
+//!   (`--shards N --merge`).
 //!
 //! The historic entry points [`run_sweep`] and [`run_sweep_resumable`]
 //! remain as thin wrappers over plan + execute + collect, so existing
@@ -32,7 +34,7 @@ pub mod executor;
 pub mod plan;
 
 pub use collector::{canonical_tsv, deterministic_projection, merge_shards, MergedSweep, ShardFiles};
-pub use executor::{InProcessExecutor, MultiProcessExecutor, SweepExecutor, WorkerSpec};
+pub use executor::InProcessExecutor;
 pub use plan::{CellKey, ShardSpec, SweepPlan};
 
 use crate::context::ForecastContext;

@@ -24,7 +24,7 @@ scripts/obs_smoke.sh
 echo '>>> perf baseline (deterministic pinned counters)'
 scripts/perf_baseline.sh
 
-echo '>>> sweep shard smoke (3-shard merge byte identity)'
+echo '>>> sweep shard smoke (exp_fig09: 3 concurrent shard workers + --merge, byte identity)'
 scripts/sweep_shard_smoke.sh
 
 if [[ "${1:-}" == "--full" ]]; then

@@ -16,7 +16,7 @@ use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
 use hotspot::forecast::sweep::{
     canonical_tsv, merge_shards, run_sweep, InProcessExecutor, ResiliencePolicy, ShardFiles,
-    ShardSpec, SweepConfig, SweepExecutor, SweepPlan, SweepResult,
+    ShardSpec, SweepConfig, SweepPlan, SweepResult,
 };
 use hotspot::trees::SplitStrategy;
 use proptest::prelude::*;

@@ -13,7 +13,7 @@ use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
 use hotspot::forecast::sweep::{
     canonical_tsv, merge_shards, run_sweep, InProcessExecutor, ResiliencePolicy, ShardFiles,
-    ShardSpec, SweepConfig, SweepExecutor, SweepPlan, SweepResult,
+    ShardSpec, SweepConfig, SweepPlan, SweepResult,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
