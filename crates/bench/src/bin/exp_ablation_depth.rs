@@ -2,9 +2,9 @@
 //! (2% weight stop) vs a deep forest-member tree (0.02%) vs the full
 //! forest, all on RF-F1 features (DESIGN.md ablation 2).
 
-use hotspot_bench::experiments::{context, print_preamble};
+use hotspot_bench::experiments::{context, sweep_config};
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_eval::stats::mean_ci95;
 use hotspot_features::builders::{DailyPercentiles, FeatureBuilder};
 use hotspot_features::windows::{train_window_days, WindowSpec};
@@ -14,10 +14,8 @@ use hotspot_forecast::models::ModelSpec;
 use hotspot_trees::{Dataset, DecisionTree, MaxFeatures, TreeParams};
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("ablation_depth", &opts);
-    let prep = prepare(&opts);
-    print_preamble("ablation_depth", &opts, &prep);
+    let (_run, opts, prep) =
+        start("ablation_depth", "", RunOptions::default(), SweepFlags::Refused);
 
     let ctx = context(&prep, Target::BeHotSpot);
     let (h, w) = (5usize, 7usize);
@@ -92,19 +90,7 @@ fn main() {
     }
 
     // Reference: the full forest at the same spot.
-    let config = hotspot_forecast::sweep::SweepConfig {
-        models: vec![ModelSpec::RfF1],
-        ts: opts.ts(ctx.n_days(), h),
-        hs: vec![h],
-        ws: vec![w],
-        n_trees: opts.trees,
-        train_days: opts.train_days,
-        random_repeats: 15,
-        seed: opts.seed,
-        n_threads: None,
-        resilience: Default::default(),
-        split: opts.split_strategy(),
-    };
+    let config = sweep_config(&ctx, &opts, &[ModelSpec::RfF1], &[h], &[w]);
     let result = hotspot_forecast::sweep::run_sweep(&ctx, &config);
     let (mean, ci) = result.mean_lift(ModelSpec::RfF1, h, w);
     print_row(&[Cell::from("forest"), Cell::from(mean), Cell::from(ci), Cell::F(f64::NAN)]);

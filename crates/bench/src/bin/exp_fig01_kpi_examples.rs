@@ -7,17 +7,14 @@
 //! marked so the peak can be verified against simulation ground
 //! truth.
 
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_simnet::archetype::Archetype;
 use hotspot_simnet::events::EventKind;
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig01_kpi_examples", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig01_kpi_examples", &opts, &prep);
+    let (_run, _, prep) =
+        start("fig01_kpi_examples", "", RunOptions::default(), SweepFlags::Refused);
 
     let geo = prep.network.geography();
     // (A) a regular sector: prefer office (strong weekday pattern).

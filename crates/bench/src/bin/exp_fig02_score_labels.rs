@@ -2,15 +2,12 @@
 //! label `Yᵈ` (B), with weekends/holidays marked (the red shading of
 //! the paper's figure).
 
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig02_score_labels", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig02_score_labels", &opts, &prep);
+    let (_run, _, prep) =
+        start("fig02_score_labels", "", RunOptions::default(), SweepFlags::Refused);
 
     // Pick the sector whose daily label flips the most — visually the
     // most interesting trace, like the paper's hand-picked example.

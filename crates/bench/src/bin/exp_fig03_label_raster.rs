@@ -2,18 +2,15 @@
 //! randomly selected sectors (black dots = hot). Printed as one
 //! compact row per sector (`.` cold, `#` hot) plus per-day totals.
 
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use rand::seq::SliceRandom;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig03_label_raster", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig03_label_raster", &opts, &prep);
+    let (_run, opts, prep) =
+        start("fig03_label_raster", "", RunOptions::default(), SweepFlags::Refused);
 
     let scored = &prep.scored;
     let mut indices: Vec<usize> = (0..scored.n_sectors()).collect();

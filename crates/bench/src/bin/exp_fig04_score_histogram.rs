@@ -1,16 +1,13 @@
 //! Fig. 4 — log histogram of the (re-scaled) weekly hot-spot score
 //! `Sʷ`, showing the natural threshold the label `ε` sits at.
 
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_eval::histogram::Histogram;
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig04_score_histogram", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig04_score_histogram", &opts, &prep);
+    let (_run, _, prep) =
+        start("fig04_score_histogram", "", RunOptions::default(), SweepFlags::Refused);
 
     let scored = &prep.scored;
     let mut hist = Histogram::uniform(0.0, 1.0, 50);

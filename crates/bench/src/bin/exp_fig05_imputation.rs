@@ -2,26 +2,19 @@
 //! quantitative comparison (RMSE on the injected gaps' ground truth)
 //! of the autoencoder against forward-fill and mean imputation.
 
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, ImputerChoice, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_core::missing::sector_filter_mask;
 use hotspot_nn::imputer::{
     AutoencoderImputer, ForwardFillImputer, Imputer, ImputerConfig, MeanImputer,
 };
 
 fn main() {
-    let mut opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig05_imputation", &opts);
     // This experiment evaluates imputers itself; the shared pipeline
-    // just supplies the filtered network.
-    opts.imputer = ImputerChoice::ForwardFill;
-    if opts.sectors == RunOptions::default().sectors {
-        opts.sectors = 80; // AE training is the bottleneck on one core
-        opts.weeks = opts.weeks.min(8);
-    }
-    let prep = prepare(&opts);
-    print_preamble("fig05_imputation", &opts, &prep);
+    // just supplies the filtered network. AE training is the
+    // bottleneck on one core, hence the smaller default network.
+    let small = RunOptions { sectors: 80, weeks: 8, ..RunOptions::default() };
+    let (_run, _, prep) = start("fig05_imputation", "", small, SweepFlags::Refused);
 
     // Rebuild the gapped (pre-imputation) tensor and its ground truth.
     let mask = sector_filter_mask(prep.network.kpis(), 0.5).expect("threshold");

@@ -4,9 +4,8 @@
 use hotspot_analysis::runs::{
     days_per_week_histogram, hours_per_day_histogram, weeks_hot_histogram,
 };
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 
 fn relative(counts: &[u64]) -> Vec<f64> {
     let total: u64 = counts.iter().sum();
@@ -23,10 +22,8 @@ fn print_hist(name: &str, unit: &str, counts: &[u64]) {
 }
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig06_duration_histograms", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig06_duration_histograms", &opts, &prep);
+    let (_run, _, prep) =
+        start("fig06_duration_histograms", "", RunOptions::default(), SweepFlags::Refused);
 
     let scored = &prep.scored;
     print_hist("panel_A_hours_per_day", "hours", &hours_per_day_histogram(&scored.y_hourly));

@@ -2,9 +2,8 @@
 //! consecutive days (B) as a hot spot (log axes in the paper).
 
 use hotspot_analysis::runs::consecutive_run_histogram;
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 
 fn print_hist(name: &str, unit: &str, counts: &[u64]) {
     print_section(name);
@@ -17,10 +16,8 @@ fn print_hist(name: &str, unit: &str, counts: &[u64]) {
 }
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig07_consecutive_runs", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig07_consecutive_runs", &opts, &prep);
+    let (_run, _, prep) =
+        start("fig07_consecutive_runs", "", RunOptions::default(), SweepFlags::Refused);
 
     let scored = &prep.scored;
     // The paper's axes: hours up to 84+, days up to 63.

@@ -3,15 +3,12 @@
 //! maximum (B), and the best-anywhere variant (C).
 
 use hotspot_analysis::spatial::{correlation_vs_distance, SpatialConfig, SpatialMode};
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig08_spatial_correlation", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig08_spatial_correlation", &opts, &prep);
+    let (_run, _, prep) =
+        start("fig08_spatial_correlation", "", RunOptions::default(), SweepFlags::Refused);
 
     let scored = &prep.scored;
     // At reduced sector counts "nearest 500" would be everything;

@@ -1,27 +1,22 @@
 //! Fig. 11 — "become a hot spot" forecast: average lift Λ vs. `h`
-//! for all eight models at `w = 7`.
+//! for all eight models at `w = 7`, then Fig. 12 from the same sweep:
+//! Δ vs. the Average baseline per `h`. The paper reports the worst
+//! classifier at +105% and the best at +153% for h ≤ 15, with the
+//! advantage vanishing for h ≥ 19.
 
-use hotspot_bench::experiments::{
-    context, horizon_sweep, print_delta_by_h, print_lift_by_h, print_preamble,
-};
+use hotspot_bench::experiments::{context, horizon_sweep, print_delta_by_h, print_lift_by_h};
 use hotspot_bench::report::print_section;
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_forecast::context::Target;
 use hotspot_forecast::models::ModelSpec;
 
 fn main() {
-    let mut opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig11_become_lift", &opts);
-    // Emergences are rare events; at reduced sector counts the paper's
-    // failure frequency leaves most evaluation days without a single
-    // positive. Default to an emergence-rich rate (override with
-    // --failure-rate).
-    if opts.failure_rate.is_none() {
-        opts.failure_rate = Some(0.08);
-    }
-    let prep = prepare(&opts);
-    print_preamble("fig11_become_lift (become a hot spot, w=7)", &opts, &prep);
-
+    let (_run, opts, prep) = start(
+        "fig11_become_lift",
+        "become a hot spot, w=7",
+        RunOptions::become_target(),
+        SweepFlags::Honoured,
+    );
     let ctx = context(&prep, Target::BecomeHotSpot);
     let models = ModelSpec::PAPER.to_vec();
     let result = horizon_sweep(&ctx, &opts, &models, 7);

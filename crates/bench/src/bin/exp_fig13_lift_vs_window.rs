@@ -2,18 +2,19 @@
 //! the past window `w`, for horizons h ∈ {1, 2, 4, 8, 16, 26}.
 //! The paper finds a plateau from w ≈ 7 on.
 
-use hotspot_bench::experiments::{context, print_lift_by_w, print_preamble, window_sweep};
+use hotspot_bench::experiments::{context, print_lift_by_w, window_sweep};
 use hotspot_bench::report::print_section;
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_forecast::context::Target;
 use hotspot_forecast::models::ModelSpec;
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig13_lift_vs_window", &opts);
-    let prep = prepare(&opts);
-    print_preamble("fig13_lift_vs_window (be a hot spot, RF-F1)", &opts, &prep);
-
+    let (_run, opts, prep) = start(
+        "fig13_lift_vs_window",
+        "be a hot spot, RF-F1",
+        RunOptions::default(),
+        SweepFlags::Honoured,
+    );
     let ctx = context(&prep, Target::BeHotSpot);
     let hs = vec![1, 2, 4, 8, 16, 26];
     let result = window_sweep(&ctx, &opts, &[ModelSpec::RfF1], &hs);

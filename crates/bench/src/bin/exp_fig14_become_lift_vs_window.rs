@@ -2,25 +2,19 @@
 //! window `w` for horizons h ∈ {1, 2, 4, 8, 16, 26}. The paper finds
 //! a slight drop after w > 7 and little effect of w at long horizons.
 
-use hotspot_bench::experiments::{context, print_lift_by_w, print_preamble, window_sweep};
+use hotspot_bench::experiments::{context, print_lift_by_w, window_sweep};
 use hotspot_bench::report::print_section;
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_forecast::context::Target;
 use hotspot_forecast::models::ModelSpec;
 
 fn main() {
-    let mut opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig14_become_lift_vs_window", &opts);
-    // Emergences are rare events; at reduced sector counts the paper's
-    // failure frequency leaves most evaluation days without a single
-    // positive. Default to an emergence-rich rate (override with
-    // --failure-rate).
-    if opts.failure_rate.is_none() {
-        opts.failure_rate = Some(0.08);
-    }
-    let prep = prepare(&opts);
-    print_preamble("fig14_become_lift_vs_window (become a hot spot, RF-F1)", &opts, &prep);
-
+    let (_run, opts, prep) = start(
+        "fig14_become_lift_vs_window",
+        "become a hot spot, RF-F1",
+        RunOptions::become_target(),
+        SweepFlags::Honoured,
+    );
     let ctx = context(&prep, Target::BecomeHotSpot);
     let hs = vec![1, 2, 4, 8, 16, 26];
     let result = window_sweep(&ctx, &opts, &[ModelSpec::RfF1], &hs);

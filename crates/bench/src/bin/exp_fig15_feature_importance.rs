@@ -3,71 +3,24 @@
 //! rows sorted as in Eq. 5, importance accumulated over several
 //! evaluation days.
 
-use hotspot_bench::experiments::{context, print_preamble};
+use hotspot_bench::experiments::{context, print_importance_grid};
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
-use hotspot_core::matrix::Matrix;
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_features::tensor_x::feature_name;
-use hotspot_features::windows::WindowSpec;
-use hotspot_forecast::classifier::fit_and_forecast;
-use hotspot_forecast::context::{ForecastContext, Target};
-use hotspot_forecast::models::ModelSpec;
+use hotspot_forecast::context::Target;
 
-fn importance_experiment(name: &str, target: Target) {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig15_feature_importance", &opts);
-    let prep = prepare(&opts);
-    print_preamble(name, &opts, &prep);
-
-    let ctx: ForecastContext = context(&prep, target);
-    let (h, w) = (5usize, 7usize);
-    let ts = opts.ts(ctx.n_days(), h);
-    let mut grid: Option<Matrix> = None;
-    let mut used = 0usize;
-    for &t in &ts {
-        let spec = WindowSpec::new(t, h, w);
-        if !spec.fits(ctx.n_days()) {
-            continue;
-        }
-        let mut config = ModelSpec::RfR
-            .classifier_config(opts.trees, opts.train_days, opts.seed, opts.split_strategy())
-            .expect("classifier");
-        config.forest_threads = Some(1);
-        let Some(fitted) = fit_and_forecast(&ctx, &spec, &config) else { continue };
-        let Some(g) = fitted.importance_grid() else { continue };
-        used += 1;
-        match &mut grid {
-            None => grid = Some(g),
-            Some(acc) => {
-                for (a, b) in acc.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *a += b;
-                }
-            }
-        }
-    }
-    let Some(mut grid) = grid else {
+fn main() {
+    let (_run, opts, prep) = start(
+        "fig15_feature_importance",
+        "be a hot spot, RF-R, h=5, w=7",
+        RunOptions::default(),
+        SweepFlags::Refused,
+    );
+    let ctx = context(&prep, Target::BeHotSpot);
+    let Some(grid) = print_importance_grid(&ctx, &opts, "then hourly values...") else {
         print_section("no fits produced importances");
         return;
     };
-    let total: f64 = grid.as_slice().iter().sum();
-    if total > 0.0 {
-        grid.map_inplace(|v| v / total);
-    }
-
-    print_section(format!("importance grid (30 features x {} hours, {used} fits)", 24 * w).as_str());
-    print_header(&["feature_k", "name", "total", "then hourly values..."]);
-    for k in 0..grid.rows() {
-        let row_total: f64 = grid.row(k).iter().sum();
-        let mut cells: Vec<Cell> =
-            vec![Cell::from(k), Cell::from(feature_name(k)), Cell::from(row_total)];
-        // Cumulative along the hour axis, as the paper plots.
-        let mut acc = 0.0;
-        for &v in grid.row(k) {
-            acc += v;
-            cells.push(Cell::from(acc));
-        }
-        print_row(&cells);
-    }
 
     print_section("top 10 features by total importance");
     print_header(&["rank", "feature_k", "name", "importance"]);
@@ -82,8 +35,4 @@ fn importance_experiment(name: &str, target: Target) {
             Cell::from(*imp),
         ]);
     }
-}
-
-fn main() {
-    importance_experiment("fig15_feature_importance (be a hot spot, RF-R, h=5, w=7)", Target::BeHotSpot);
 }

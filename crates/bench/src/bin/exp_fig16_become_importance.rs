@@ -3,80 +3,23 @@
 //! importance rises for this target, with interference and
 //! signalling indicators joining the usage/congestion ones.
 
-use hotspot_bench::experiments::{context, print_preamble};
+use hotspot_bench::experiments::{context, print_importance_grid};
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
-use hotspot_core::matrix::Matrix;
-use hotspot_features::tensor_x::feature_name;
-use hotspot_features::windows::WindowSpec;
-use hotspot_forecast::classifier::fit_and_forecast;
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_forecast::context::Target;
-use hotspot_forecast::models::ModelSpec;
 
 fn main() {
-    let mut opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("fig16_become_importance", &opts);
-    // Emergences are rare events; at reduced sector counts the paper's
-    // failure frequency leaves most evaluation days without a single
-    // positive. Default to an emergence-rich rate (override with
-    // --failure-rate).
-    if opts.failure_rate.is_none() {
-        opts.failure_rate = Some(0.08);
-    }
-    let prep = prepare(&opts);
-    print_preamble("fig16_become_importance (become a hot spot, RF-R, h=5, w=7)", &opts, &prep);
-
+    let (_run, opts, prep) = start(
+        "fig16_become_importance",
+        "become a hot spot, RF-R, h=5, w=7",
+        RunOptions::become_target(),
+        SweepFlags::Refused,
+    );
     let ctx = context(&prep, Target::BecomeHotSpot);
-    let (h, w) = (5usize, 7usize);
-    let ts = opts.ts(ctx.n_days(), h);
-    let mut grid: Option<Matrix> = None;
-    let mut used = 0usize;
-    for &t in &ts {
-        let spec = WindowSpec::new(t, h, w);
-        if !spec.fits(ctx.n_days()) {
-            continue;
-        }
-        let mut config = ModelSpec::RfR
-            .classifier_config(opts.trees, opts.train_days, opts.seed, opts.split_strategy())
-            .expect("classifier");
-        config.forest_threads = Some(1);
-        let Some(fitted) = fit_and_forecast(&ctx, &spec, &config) else { continue };
-        if fitted.n_train_pos == 0 {
-            continue; // no emergence in the training span
-        }
-        let Some(g) = fitted.importance_grid() else { continue };
-        used += 1;
-        match &mut grid {
-            None => grid = Some(g),
-            Some(acc) => {
-                for (a, b) in acc.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *a += b;
-                }
-            }
-        }
-    }
-    let Some(mut grid) = grid else {
+    let Some(grid) = print_importance_grid(&ctx, &opts, "then hourly cumulative values...") else {
         print_section("no emergences in the training spans — raise --sectors or --weeks");
         return;
     };
-    let total: f64 = grid.as_slice().iter().sum();
-    if total > 0.0 {
-        grid.map_inplace(|v| v / total);
-    }
-
-    print_section(format!("importance grid (30 features x {} hours, {used} fits)", 24 * w).as_str());
-    print_header(&["feature_k", "name", "total", "then hourly cumulative values..."]);
-    for k in 0..grid.rows() {
-        let row_total: f64 = grid.row(k).iter().sum();
-        let mut cells: Vec<Cell> =
-            vec![Cell::from(k), Cell::from(feature_name(k)), Cell::from(row_total)];
-        let mut acc = 0.0;
-        for &v in grid.row(k) {
-            acc += v;
-            cells.push(Cell::from(acc));
-        }
-        print_row(&cells);
-    }
 
     print_section("KPI vs score importance split (paper: KPIs gain weight for this target)");
     print_header(&["kpi_mass", "calendar_mass", "score_label_mass"]);

@@ -3,41 +3,23 @@
 //! average-precision distributions with a two-sample KS test. The
 //! paper finds no p < 0.01 and only 1.1% below 0.05.
 
-use hotspot_bench::experiments::{context, print_preamble, resilience, run_sweep_with_options};
+use hotspot_bench::experiments::{context, run_sweep_with_options, sweep_config};
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_eval::ks::ks_two_sample;
 use hotspot_forecast::context::Target;
 use hotspot_forecast::models::ModelSpec;
-use hotspot_forecast::sweep::SweepConfig;
 
 fn main() {
-    let mut opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("sec5a_temporal_stability", &opts);
     // The KS test needs several t samples per half: densify t.
-    if opts.t_step == RunOptions::default().t_step {
-        opts.t_step = 3;
-    }
-    let prep = prepare(&opts);
-    print_preamble("sec5a_temporal_stability", &opts, &prep);
+    let dense = RunOptions { t_step: 3, ..RunOptions::default() };
+    let (_run, opts, prep) = start("sec5a_temporal_stability", "", dense, SweepFlags::Honoured);
 
     let ctx = context(&prep, Target::BeHotSpot);
     let models = vec![ModelSpec::Persist, ModelSpec::Average, ModelSpec::Tree, ModelSpec::RfF1];
     let hs = vec![1, 5, 14];
     let ws = vec![3, 7];
-    let config = SweepConfig {
-        models: models.clone(),
-        ts: opts.ts(ctx.n_days(), 14),
-        hs: hs.clone(),
-        ws: ws.clone(),
-        n_trees: opts.trees,
-        train_days: opts.train_days,
-        random_repeats: 15,
-        seed: opts.seed,
-        n_threads: None,
-        resilience: resilience(&opts),
-        split: opts.split_strategy(),
-    };
+    let config = sweep_config(&ctx, &opts, &models, &hs, &ws);
     let result = run_sweep_with_options(&ctx, &config, &opts);
 
     // Split the t axis at its midpoint (the paper uses [52,69]/[70,87]).

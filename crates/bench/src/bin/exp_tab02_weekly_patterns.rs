@@ -3,16 +3,13 @@
 //! consistency statistics quoted in Sec. III.
 
 use hotspot_analysis::patterns::{top_weekly_patterns, weekly_consistency};
-use hotspot_bench::experiments::print_preamble;
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::{prepare, RunOptions};
+use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_eval::stats::Summary;
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("tab02_weekly_patterns", &opts);
-    let prep = prepare(&opts);
-    print_preamble("tab02_weekly_patterns", &opts, &prep);
+    let (_run, _, prep) =
+        start("tab02_weekly_patterns", "", RunOptions::default(), SweepFlags::Refused);
 
     let scored = &prep.scored;
     print_section("top 20 weekly patterns (never-hot excluded)");

@@ -2,13 +2,13 @@
 //! horizon `h`, and past window `w`, plus this run's thinned grid.
 
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
-use hotspot_bench::RunOptions;
+use hotspot_bench::{Experiment, RunOptions, SweepFlags};
 use hotspot_forecast::models::ModelSpec;
 use hotspot_forecast::sweep::TableIIIGrid;
 
 fn main() {
-    let opts = RunOptions::from_env();
-    let _run = hotspot_bench::Experiment::start("tab03_grid", &opts);
+    let (_run, opts) =
+        Experiment::from_cli("tab03_grid", RunOptions::default(), SweepFlags::Refused);
     print_section("tab03_grid (paper values)");
     print_header(&["variable", "values"]);
     let models: Vec<&str> = ModelSpec::PAPER.iter().map(|m| m.name()).collect();

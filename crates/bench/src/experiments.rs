@@ -1,10 +1,16 @@
-//! Shared experiment logic for the Figs. 9–14 family: building the
-//! forecast context, running the sweep, and printing lift / Δ tables.
+//! Shared experiment logic: the start call of the binaries, building
+//! the forecast context, running the sweep, and printing the lift / Δ
+//! and importance tables.
 
-use crate::options::RunOptions;
-use crate::prepare::Prepared;
+use crate::harness::Experiment;
+use crate::options::{RunOptions, SweepFlags};
+use crate::prepare::{prepare, Prepared};
 use crate::report::{print_header, print_row, print_section, Cell};
+use hotspot_core::matrix::Matrix;
 use hotspot_eval::lift::delta_percent;
+use hotspot_features::tensor_x::feature_name;
+use hotspot_features::windows::WindowSpec;
+use hotspot_forecast::classifier::fit_and_forecast;
 use hotspot_forecast::context::{ForecastContext, Target};
 use hotspot_forecast::models::ModelSpec;
 use hotspot_forecast::sweep::{
@@ -14,6 +20,36 @@ use hotspot_forecast::sweep::{
 };
 use hotspot_obs as obs;
 use std::path::{Path, PathBuf};
+
+/// The one start call of an experiment binary that works on the
+/// prepared dataset: lay the CLI over the binary's `defaults` and start
+/// the run ([`Experiment::from_cli`]), prepare the dataset, and print
+/// the provenance preamble. The banner is `name`, followed by `(title)`
+/// unless `title` is empty.
+pub fn start(
+    name: &str,
+    title: &str,
+    defaults: RunOptions,
+    sweep: SweepFlags,
+) -> (Experiment, RunOptions, Prepared) {
+    let (run, opts) = Experiment::from_cli(name, defaults, sweep);
+    let prep = prepare(&opts);
+    print_section(&if title.is_empty() { name.to_string() } else { format!("{name} ({title})") });
+    println!(
+        "# sectors={} (kept {} / filtered {} / quarantined {}), weeks={}, seed={}, trees={}, train_days={}, t_step={}, imputed_cells={}",
+        opts.sectors,
+        prep.kept.len(),
+        prep.n_filtered,
+        prep.n_quarantined,
+        opts.weeks,
+        opts.seed,
+        opts.trees,
+        opts.train_days,
+        opts.t_step,
+        prep.n_imputed
+    );
+    (run, opts, prep)
+}
 
 /// Build a forecast context for a prepared dataset and target.
 ///
@@ -27,6 +63,31 @@ pub fn context(prep: &Prepared, target: Target) -> ForecastContext {
 /// The resilience policy implied by the run options.
 pub fn resilience(opts: &RunOptions) -> ResiliencePolicy {
     ResiliencePolicy { cell_deadline_ms: opts.cell_deadline_ms, ..ResiliencePolicy::default() }
+}
+
+/// The sweep over an explicit `(hs, ws)` grid at the run options' `t`
+/// axis, forest size, training span, seed, resilience and split engine.
+pub fn sweep_config(
+    ctx: &ForecastContext,
+    opts: &RunOptions,
+    models: &[ModelSpec],
+    hs: &[usize],
+    ws: &[usize],
+) -> SweepConfig {
+    let max_h = *hs.iter().max().expect("non-empty");
+    SweepConfig {
+        models: models.to_vec(),
+        ts: opts.ts(ctx.n_days(), max_h),
+        hs: hs.to_vec(),
+        ws: ws.to_vec(),
+        n_trees: opts.trees,
+        train_days: opts.train_days,
+        random_repeats: 15,
+        seed: opts.seed,
+        n_threads: None,
+        resilience: resilience(opts),
+        split: opts.split_strategy(),
+    }
 }
 
 /// Run a sweep honouring the `--checkpoint` / `--resume` /
@@ -275,20 +336,63 @@ pub fn print_lift_by_w(result: &SweepResult, model: ModelSpec, hs: &[usize]) {
     }
 }
 
-/// Print the standard run preamble (configuration provenance).
-pub fn print_preamble(name: &str, opts: &RunOptions, prep: &Prepared) {
-    print_section(name);
-    println!(
-        "# sectors={} (kept {} / filtered {} / quarantined {}), weeks={}, seed={}, trees={}, train_days={}, t_step={}, imputed_cells={}",
-        opts.sectors,
-        prep.kept.len(),
-        prep.n_filtered,
-        prep.n_quarantined,
-        opts.weeks,
-        opts.seed,
-        opts.trees,
-        opts.train_days,
-        opts.t_step,
-        prep.n_imputed
-    );
+/// Accumulate the RF-R importance grid of the Figs. 15/16 forecast
+/// (`h = 5`, `w = 7`) over the run's `t` axis, normalise it to unit
+/// mass, and print it cumulatively along the hour axis, as the paper
+/// plots it. Fits without a positive training label carry no
+/// importance and are skipped. Returns the normalised grid for the
+/// binary's own tail table, or `None` (printing nothing) when no fit
+/// produced importances.
+pub fn print_importance_grid(
+    ctx: &ForecastContext,
+    opts: &RunOptions,
+    hours_column: &str,
+) -> Option<Matrix> {
+    let (h, w) = (5usize, 7usize);
+    let mut grid: Option<Matrix> = None;
+    let mut used = 0usize;
+    for t in opts.ts(ctx.n_days(), h) {
+        let spec = WindowSpec::new(t, h, w);
+        if !spec.fits(ctx.n_days()) {
+            continue;
+        }
+        let mut config = ModelSpec::RfR
+            .classifier_config(opts.trees, opts.train_days, opts.seed, opts.split_strategy())
+            .expect("classifier");
+        config.forest_threads = Some(1);
+        let Some(fitted) = fit_and_forecast(ctx, &spec, &config) else { continue };
+        if fitted.n_train_pos == 0 {
+            continue;
+        }
+        let Some(g) = fitted.importance_grid() else { continue };
+        used += 1;
+        match &mut grid {
+            None => grid = Some(g),
+            Some(acc) => {
+                for (a, b) in acc.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                    *a += b;
+                }
+            }
+        }
+    }
+    let mut grid = grid?;
+    let total: f64 = grid.as_slice().iter().sum();
+    if total > 0.0 {
+        grid.map_inplace(|v| v / total);
+    }
+
+    print_section(&format!("importance grid (30 features x {} hours, {used} fits)", 24 * w));
+    print_header(&["feature_k", "name", "total", hours_column]);
+    for k in 0..grid.rows() {
+        let row_total: f64 = grid.row(k).iter().sum();
+        let mut cells: Vec<Cell> =
+            vec![Cell::from(k), Cell::from(feature_name(k)), Cell::from(row_total)];
+        let mut acc = 0.0;
+        for &v in grid.row(k) {
+            acc += v;
+            cells.push(Cell::from(acc));
+        }
+        print_row(&cells);
+    }
+    Some(grid)
 }

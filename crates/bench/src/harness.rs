@@ -1,7 +1,9 @@
 //! Run-scoped observability for experiment binaries.
 //!
-//! [`Experiment::start`] is the first line of every `exp_*` binary: it
-//! configures the logger from `HOTSPOT_LOG` and `--log-level`, attaches
+//! [`Experiment::from_cli`] starts every `exp_*` binary (most through
+//! [`experiments::start`](crate::experiments::start)): it lays the
+//! command line over the binary's defaults, configures the logger from
+//! `HOTSPOT_LOG` and `--log-level`, attaches
 //! the `--metrics-out` JSONL sink, enables span recording when any
 //! artifact sink was requested, and fingerprints the science-relevant
 //! configuration. Dropping the returned guard (normally or during a
@@ -9,7 +11,7 @@
 //! `--manifest` JSON, so even a run that dies mid-sweep leaves a
 //! truthful record with `outcome: "panicked"`.
 
-use crate::options::RunOptions;
+use crate::options::{RunOptions, SweepFlags};
 use hotspot_obs as obs;
 use std::time::Instant;
 
@@ -27,9 +29,18 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Initialise observability for a run and return the guard that
-    /// finalises it. Call once, before any pipeline work.
-    pub fn start(name: &str, opts: &RunOptions) -> Experiment {
+    /// Lay the process's flags over this binary's `defaults`, then
+    /// initialise observability for the run and return the guard that
+    /// finalises it with the options the run uses. Call once, before
+    /// any pipeline work. The fingerprint hashes the options after the
+    /// flags are applied, so a default and an explicit flag that
+    /// repeats it share one identity.
+    pub fn from_cli(
+        name: &str,
+        defaults: RunOptions,
+        sweep: SweepFlags,
+    ) -> (Experiment, RunOptions) {
+        let opts = defaults.with_flags(sweep, std::env::args().skip(1));
         obs::init_from_env();
         if let Some(level) = opts.log_level {
             obs::set_level(level);
@@ -52,7 +63,7 @@ impl Experiment {
             opts.manifest.is_some() || opts.metrics_out.is_some() || opts.trace_out.is_some(),
         );
 
-        let fingerprint = format!("{:016x}", obs::fnv1a(identity(name, opts).as_bytes()));
+        let fingerprint = format!("{:016x}", obs::fnv1a(identity(name, &opts).as_bytes()));
         let shard =
             opts.shard.map(|index| obs::ShardIdentity { index, count: opts.shards });
         obs::set_annotation("experiment", name);
@@ -64,7 +75,7 @@ impl Experiment {
             ),
             None => obs::info!("{name}: starting (seed {}, config {fingerprint})", opts.seed),
         }
-        Experiment {
+        let run = Experiment {
             name: name.to_string(),
             args: std::env::args().skip(1).collect(),
             manifest: opts.manifest.clone(),
@@ -73,7 +84,8 @@ impl Experiment {
             shard,
             started_unix_ms: obs::unix_ms(),
             started: Instant::now(),
-        }
+        };
+        (run, opts)
     }
 
     /// The hex configuration fingerprint of this run.
@@ -164,7 +176,7 @@ mod tests {
     fn fingerprint_tracks_science_not_plumbing() {
         let base = RunOptions::default();
         assert_eq!(fp("fig09", &base), fp("fig09", &base), "deterministic");
-        assert_ne!(fp("fig09", &base), fp("fig10", &base), "name matters");
+        assert_ne!(fp("fig09", &base), fp("fig11", &base), "name matters");
 
         let reseeded = RunOptions { seed: base.seed + 1, ..base.clone() };
         assert_ne!(fp("fig09", &base), fp("fig09", &reseeded), "seed matters");
@@ -196,5 +208,21 @@ mod tests {
         // The trace sink is pure output; it may not move the fingerprint.
         let traced = RunOptions { trace_out: Some("/tmp/run.trace.json".into()), ..base.clone() };
         assert_eq!(fp("fig09", &base), fp("fig09", &traced), "trace sink is plumbing");
+    }
+
+    #[test]
+    fn default_and_explicit_equivalent_runs_share_a_fingerprint() {
+        let run = |defaults: &RunOptions, args: &[&str]| {
+            let flags = args.iter().map(|s| s.to_string());
+            fp("x", &defaults.clone().with_flags(SweepFlags::Honoured, flags))
+        };
+        let become_target = RunOptions::become_target();
+        assert_eq!(run(&become_target, &[]), run(&become_target, &["--failure-rate", "0.08"]));
+        assert_ne!(run(&become_target, &[]), run(&RunOptions::default(), &[]));
+        let dense = RunOptions { t_step: 3, ..RunOptions::default() };
+        assert_eq!(run(&dense, &[]), run(&dense, &["--t-step", "3"]));
+        assert_ne!(run(&dense, &[]), run(&dense, &["--t-step", "12"]));
+        let small = RunOptions { sectors: 80, weeks: 8, ..RunOptions::default() };
+        assert_eq!(run(&small, &[]), run(&small, &["--sectors", "80", "--weeks", "8"]));
     }
 }

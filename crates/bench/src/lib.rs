@@ -1,16 +1,21 @@
 //! # hotspot-bench
 //!
 //! The experiment harness: one binary per paper table/figure (under
-//! `src/bin/exp_*`), criterion microbenches (under `benches/`), and
-//! this shared library — CLI options, the standard dataset
-//! preparation pipeline (simulate → filter → impute → score), and
-//! TSV report printing.
+//! `src/bin/exp_*`) and this shared library — the one start call
+//! ([`start`]), CLI options, the standard dataset preparation
+//! pipeline (simulate → filter → impute → score), and TSV report
+//! printing. `results/RUNS.tsv` records the flags behind each
+//! committed result.
 //!
 //! Every experiment binary prints a self-describing TSV block to
 //! stdout so `EXPERIMENTS.md` can quote results verbatim. All
 //! binaries accept `--sectors`, `--weeks`, `--seed`, `--trees`,
 //! `--train-days`, `--t-step`, `--imputer {ffill|mean|ae}`, and
-//! `--full` (paper-scale grid; expect hours of runtime on a laptop).
+//! `--full` (paper-scale grid; expect hours of runtime on a laptop),
+//! laid over the binary's own defaults so an explicit flag always
+//! wins. Only the sweep binaries ([`SweepFlags::Honoured`]) take the
+//! sweep flags `--checkpoint`, `--resume`, `--shards`, `--shard` and
+//! `--merge`; the others refuse them.
 //! Observability flags ride along on every binary too: `--log-level`
 //! tunes the stderr logger, `--metrics-out` streams JSONL log/metric
 //! events, and `--manifest` writes the per-run JSON manifest (see
@@ -22,7 +27,8 @@ pub mod options;
 pub mod prepare;
 pub mod report;
 
+pub use experiments::start;
 pub use harness::Experiment;
-pub use options::{ImputerChoice, RunOptions};
+pub use options::{ImputerChoice, RunOptions, SweepFlags};
 pub use prepare::{prepare, Prepared};
 pub use report::{print_header, print_row, print_section};

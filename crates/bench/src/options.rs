@@ -15,6 +15,23 @@ pub enum ImputerChoice {
     Autoencoder,
 }
 
+/// Whether an experiment binary runs its sweep through
+/// [`run_sweep_with_options`](crate::experiments::run_sweep_with_options)
+/// and so honours the resume and shard flags. Each binary declares
+/// this once, at its start call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepFlags {
+    /// `--checkpoint`, `--resume`, `--shards`, `--shard` and `--merge`
+    /// drive the sweep.
+    Honoured,
+    /// The binary would ignore those flags, so they exit 2 before any
+    /// work instead of running the whole grid under a false claim.
+    Refused,
+}
+
+/// The flags only a [`SweepFlags::Honoured`] binary takes.
+const SWEEP_ONLY_FLAGS: [&str; 5] = ["--checkpoint", "--resume", "--shards", "--shard", "--merge"];
+
 /// Options shared by all experiment binaries.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -109,12 +126,23 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Parse from an iterator of argument strings (excluding argv[0]).
+    /// Defaults of the "become a hot spot" experiments. Emergences are
+    /// rare events; at reduced sector counts the paper's failure
+    /// frequency leaves most evaluation days without a single positive,
+    /// so these default to an emergence-rich rate (override with
+    /// `--failure-rate`).
+    pub fn become_target() -> RunOptions {
+        RunOptions { failure_rate: Some(0.08), ..RunOptions::default() }
+    }
+
+    /// Lay command-line flags (excluding `argv[0]`) over these options,
+    /// a binary's defaults: an explicit flag always wins.
     ///
     /// Unknown flags abort with a usage message, so typos never run a
-    /// multi-minute experiment with silently-default parameters.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
-        let mut opts = RunOptions::default();
+    /// multi-minute experiment with silently-default parameters; so do
+    /// the resume and shard flags under [`SweepFlags::Refused`].
+    pub fn with_flags(self, sweep: SweepFlags, args: impl Iterator<Item = String>) -> Self {
+        let mut opts = self;
         let mut args = args.peekable();
         let take = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
             it.next().unwrap_or_else(|| {
@@ -123,6 +151,14 @@ impl RunOptions {
             })
         };
         while let Some(arg) = args.next() {
+            if sweep == SweepFlags::Refused && SWEEP_ONLY_FLAGS.contains(&arg.as_str()) {
+                eprintln!(
+                    "{arg} is refused: this binary runs no resumable sweep, so it would \
+                     ignore {}",
+                    SWEEP_ONLY_FLAGS.join("/")
+                );
+                std::process::exit(2);
+            }
             match arg.as_str() {
                 "--sectors" => opts.sectors = parse_num(&take(&mut args, "--sectors"), "--sectors"),
                 "--weeks" => opts.weeks = parse_num(&take(&mut args, "--weeks"), "--weeks"),
@@ -256,11 +292,6 @@ impl RunOptions {
         opts
     }
 
-    /// Parse from the process arguments.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
     /// The tree split-finding strategy these options select. Combines
     /// `--split-strategy` and `--max-bins` after parsing so flag order
     /// never matters.
@@ -293,8 +324,12 @@ fn parse_num(s: &str, flag: &str) -> usize {
 mod tests {
     use super::*;
 
+    fn parse_over(defaults: RunOptions, args: &[&str]) -> RunOptions {
+        defaults.with_flags(SweepFlags::Honoured, args.iter().map(|s| s.to_string()))
+    }
+
     fn parse(args: &[&str]) -> RunOptions {
-        RunOptions::parse(args.iter().map(|s| s.to_string()))
+        parse_over(RunOptions::default(), args)
     }
 
     #[test]
@@ -403,6 +438,22 @@ mod tests {
         assert!(d.trace_out.is_none());
         let t = parse(&["--trace-out", "/tmp/run.trace.json"]);
         assert_eq!(t.trace_out.as_deref(), Some(std::path::Path::new("/tmp/run.trace.json")));
+    }
+
+    #[test]
+    fn explicit_flags_win_over_binary_defaults() {
+        let dense = RunOptions { t_step: 3, ..RunOptions::default() };
+        assert_eq!(parse_over(dense.clone(), &[]).t_step, 3);
+        // Even a flag that repeats the global default wins.
+        assert_eq!(parse_over(dense, &["--t-step", "12"]).t_step, 12);
+
+        let small = RunOptions { sectors: 80, weeks: 8, ..RunOptions::default() };
+        let o = parse_over(small, &["--sectors", "200"]);
+        assert_eq!((o.sectors, o.weeks), (200, 8));
+
+        assert_eq!(RunOptions::become_target().failure_rate, Some(0.08));
+        let o = parse_over(RunOptions::become_target(), &["--failure-rate", "0.02"]);
+        assert_eq!(o.failure_rate, Some(0.02));
     }
 
     #[test]

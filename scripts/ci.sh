@@ -18,6 +18,11 @@ cargo test -q
 echo '>>> clippy (workspace, -D warnings)'
 cargo clippy --workspace --all-targets -- -D warnings
 
+# perfbench is its own workspace; building it here makes a change to
+# the hotspot_bench API it calls fail CI rather than the benchmark run.
+echo '>>> perfbench build (its own workspace, against hotspot_bench)'
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo '>>> observability smoke'
 scripts/obs_smoke.sh
 
