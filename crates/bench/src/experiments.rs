@@ -224,21 +224,7 @@ pub fn horizon_sweep(
     models: &[ModelSpec],
     w: usize,
 ) -> SweepResult {
-    let hs = TableIIIGrid::hs();
-    let max_h = *hs.iter().max().expect("non-empty");
-    let config = SweepConfig {
-        models: models.to_vec(),
-        ts: opts.ts(ctx.n_days(), max_h),
-        hs,
-        ws: vec![w],
-        n_trees: opts.trees,
-        train_days: opts.train_days,
-        random_repeats: 15,
-        seed: opts.seed,
-        n_threads: None,
-        resilience: resilience(opts),
-        split: opts.split_strategy(),
-    };
+    let config = sweep_config(ctx, opts, models, &TableIIIGrid::hs(), &[w]);
     run_sweep_with_options(ctx, &config, opts)
 }
 
@@ -250,20 +236,7 @@ pub fn window_sweep(
     models: &[ModelSpec],
     hs: &[usize],
 ) -> SweepResult {
-    let max_h = *hs.iter().max().expect("non-empty");
-    let config = SweepConfig {
-        models: models.to_vec(),
-        ts: opts.ts(ctx.n_days(), max_h),
-        hs: hs.to_vec(),
-        ws: TableIIIGrid::ws(),
-        n_trees: opts.trees,
-        train_days: opts.train_days,
-        random_repeats: 15,
-        seed: opts.seed,
-        n_threads: None,
-        resilience: resilience(opts),
-        split: opts.split_strategy(),
-    };
+    let config = sweep_config(ctx, opts, models, hs, &TableIIIGrid::ws());
     run_sweep_with_options(ctx, &config, opts)
 }
 

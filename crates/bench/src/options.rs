@@ -234,8 +234,8 @@ impl RunOptions {
                 "--trace-out" => opts.trace_out = Some(take(&mut args, "--trace-out").into()),
                 "--max-bins" => {
                     let v = parse_num(&take(&mut args, "--max-bins"), "--max-bins");
-                    if v == 0 || v > u16::MAX as usize {
-                        eprintln!("--max-bins must be in 1..=65535, got {v}");
+                    if v > u16::MAX as usize {
+                        eprintln!("--max-bins must be in 2..=65535, got {v}");
                         std::process::exit(2);
                     }
                     opts.max_bins = v as u16;
@@ -256,6 +256,10 @@ impl RunOptions {
                     std::process::exit(2);
                 }
             }
+        }
+        if let Some(refusal) = opts.out_of_range() {
+            eprintln!("{refusal}");
+            std::process::exit(2);
         }
         if opts.full {
             opts.t_step = 1;
@@ -290,6 +294,31 @@ impl RunOptions {
             opts.manifest = Some(ShardFiles::for_base(base, shard).manifest);
         }
         opts
+    }
+
+    /// The first value, naming its flag, that the pipeline would
+    /// silently clamp or that means nothing: a zero count, a bin
+    /// budget below 2, or a negative or non-finite failure rate.
+    fn out_of_range(&self) -> Option<String> {
+        let counts = [
+            ("--sectors", self.sectors),
+            ("--weeks", self.weeks),
+            ("--trees", self.trees),
+            ("--train-days", self.train_days),
+            ("--t-step", self.t_step),
+        ];
+        if let Some((flag, _)) = counts.iter().find(|(_, v)| *v == 0) {
+            return Some(format!("{flag} must be ≥ 1, got 0"));
+        }
+        if self.max_bins < 2 {
+            return Some(format!("--max-bins must be in 2..=65535, got {}", self.max_bins));
+        }
+        match self.failure_rate {
+            Some(r) if !(r.is_finite() && r >= 0.0) => {
+                Some(format!("--failure-rate must be finite and ≥ 0, got {r}"))
+            }
+            _ => None,
+        }
     }
 
     /// The tree split-finding strategy these options select. Combines
@@ -454,6 +483,28 @@ mod tests {
         assert_eq!(RunOptions::become_target().failure_rate, Some(0.08));
         let o = parse_over(RunOptions::become_target(), &["--failure-rate", "0.02"]);
         assert_eq!(o.failure_rate, Some(0.02));
+    }
+
+    #[test]
+    fn clamped_or_meaningless_values_are_refused() {
+        let d = RunOptions::default();
+        assert_eq!(d.out_of_range(), None);
+        let refused = [
+            ("--sectors", RunOptions { sectors: 0, ..d.clone() }),
+            ("--weeks", RunOptions { weeks: 0, ..d.clone() }),
+            ("--trees", RunOptions { trees: 0, ..d.clone() }),
+            ("--train-days", RunOptions { train_days: 0, ..d.clone() }),
+            ("--t-step", RunOptions { t_step: 0, ..d.clone() }),
+            ("--max-bins", RunOptions { max_bins: 1, ..d.clone() }),
+            ("--failure-rate", RunOptions { failure_rate: Some(-1.0), ..d.clone() }),
+            ("--failure-rate", RunOptions { failure_rate: Some(f64::NAN), ..d.clone() }),
+        ];
+        for (flag, opts) in refused {
+            let refusal = opts.out_of_range().unwrap_or_else(|| panic!("{flag} not refused"));
+            assert!(refusal.starts_with(flag), "{refusal}");
+        }
+        let edge = RunOptions { max_bins: 2, failure_rate: Some(0.0), t_step: 1, ..d };
+        assert_eq!(edge.out_of_range(), None);
     }
 
     #[test]

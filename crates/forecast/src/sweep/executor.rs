@@ -14,7 +14,7 @@
 //! combines their shard files afterwards (`--shards N --merge`).
 
 use super::plan::{CellKey, ShardSpec, SweepPlan};
-use super::{splitmix, CellOutcome, SweepCell, SweepConfig};
+use super::{CellOutcome, SweepCell, SweepConfig};
 use crate::checkpoint::{config_fingerprint, load_checkpoint_sharded, CheckpointWriter};
 use crate::classifier::fit_and_forecast;
 use crate::context::ForecastContext;
@@ -182,7 +182,7 @@ fn attempt_seed(seed: u64, attempt: u32) -> u64 {
     if attempt <= 1 {
         seed
     } else {
-        splitmix(seed ^ (attempt as u64) << 32)
+        rand::splitmix64(seed ^ (attempt as u64) << 32)
     }
 }
 
@@ -311,6 +311,7 @@ mod tests {
         assert_ne!(retry, 7);
         assert_eq!(retry, attempt_seed(7, 2));
         assert_ne!(retry, attempt_seed(7, 3));
+        assert_eq!(retry, 8599263559809057095, "retry seeds are pinned");
     }
 
     #[test]

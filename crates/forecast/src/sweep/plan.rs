@@ -156,15 +156,6 @@ impl SweepPlan {
         self.cells.iter().filter(|k| shard.owns(k)).copied().collect()
     }
 
-    /// Cells per shard for an `n`-way partition (diagnostics).
-    pub fn shard_sizes(&self, n: u64) -> Vec<usize> {
-        let mut sizes = vec![0usize; n.max(1) as usize];
-        for key in &self.cells {
-            sizes[key.shard_of(n.max(1)) as usize] += 1;
-        }
-        sizes
-    }
-
     /// Canonical position of each cell — the sort key the collector
     /// uses to restore plan order after a merge.
     pub fn order_index(&self) -> HashMap<CellKey, usize> {
@@ -225,7 +216,6 @@ mod tests {
                 }
             }
             assert_eq!(total, plan.n_cells(), "n={n} must cover every cell exactly once");
-            assert_eq!(plan.shard_sizes(n).iter().sum::<usize>(), plan.n_cells());
         }
     }
 

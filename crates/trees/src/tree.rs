@@ -3,7 +3,7 @@
 //! Matches the paper's configuration knobs (Sec. IV-D): Gini split
 //! metric, a random subset of features evaluated at every partition,
 //! balanced sample weights, and a *minimum weight fraction* stopping
-//! criterion (2% of total weight for the standalone Tree model, 0.02%
+//! rule (2% of total weight for the standalone Tree model, 0.02%
 //! for forest members).
 
 use crate::binned::{BinnedDataset, HistPool, NodeHistogram, SplitStrategy, HIST_MIN_NODE_ROWS};

@@ -26,9 +26,6 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo '>>> observability smoke'
 scripts/obs_smoke.sh
 
-echo '>>> perf baseline (deterministic pinned counters)'
-scripts/perf_baseline.sh
-
 echo '>>> sweep shard smoke (exp_fig09: 3 concurrent shard workers + --merge, byte identity)'
 scripts/sweep_shard_smoke.sh
 
