@@ -7,6 +7,7 @@ use hotspot_bench::report::{print_header, print_row, print_section, Cell};
 use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_eval::stats::mean_ci95;
 use hotspot_features::builders::{DailyPercentiles, FeatureBuilder};
+use hotspot_features::plane::{self, PlaneCache};
 use hotspot_features::windows::{train_window_days, WindowSpec};
 use hotspot_forecast::context::Target;
 use hotspot_forecast::evaluate::evaluate_day;
@@ -20,6 +21,9 @@ fn main() {
     let ctx = context(&prep, Target::BeHotSpot);
     let (h, w) = (5usize, 7usize);
     let builder = DailyPercentiles;
+    // One cache for every variant, so each window is featurised once
+    // (and each day summarised once, in the cache's day table).
+    let cache = PlaneCache::new(plane::BUDGET_BYTES);
 
     let variants: Vec<(&str, TreeParams)> = vec![
         ("tree_2pct_stop", TreeParams { split: opts.split_strategy(), ..TreeParams::paper_tree() }),
@@ -58,12 +62,13 @@ fn main() {
                 }
                 let sub = WindowSpec::new(t - d, h, w);
                 let Some((_, end)) = train_window_days(&sub) else { break };
+                let plane = cache.get_or_build(&builder, &ctx.x, end, w);
                 for i in 0..ctx.n_sectors() {
                     let y = ctx.target.get(i, t - d);
                     if y.is_nan() {
                         continue;
                     }
-                    rows.extend(builder.build(&ctx.x, i, end, w));
+                    rows.extend_from_slice(plane.row(i));
                     labels.push(y >= 0.5);
                 }
             }
@@ -75,9 +80,9 @@ fn main() {
             data.balance_weights();
             let tree = DecisionTree::fit(&data, &TreeParams { seed: opts.seed, ..params.clone() });
             nodes.push(tree.n_nodes() as f64);
-            let preds: Vec<f64> = (0..ctx.n_sectors())
-                .map(|i| tree.predict_proba(&builder.build(&ctx.x, i, t, w)))
-                .collect();
+            let forecast = cache.get_or_build(&builder, &ctx.x, t, w);
+            let preds: Vec<f64> =
+                (0..ctx.n_sectors()).map(|i| tree.predict_proba(forecast.row(i))).collect();
             if let Some(rec) = evaluate_day(&ctx, &spec, &preds, 15, opts.seed) {
                 if rec.lift.is_finite() {
                     lifts.push(rec.lift);

@@ -334,11 +334,26 @@ impl RunOptions {
 
     /// The Table III `t` values this run evaluates (thinned by
     /// `t_step`), clipped so `t + max(h)` stays inside the series.
+    ///
+    /// Exits 2, naming `--weeks` and the smallest week count that
+    /// works, when the series leaves room for no `t`: an empty grid
+    /// would print all-`nan` tables as if it were a result.
     pub fn ts(&self, n_days: usize, max_h: usize) -> Vec<usize> {
-        (52..=87)
+        const FIRST_T: usize = 52;
+        let ts: Vec<usize> = (FIRST_T..=87)
             .step_by(self.t_step.max(1))
             .filter(|t| t + max_h < n_days)
-            .collect()
+            .collect();
+        if ts.is_empty() {
+            let min_weeks = (FIRST_T + max_h + 1).div_ceil(7);
+            eprintln!(
+                "--weeks {} gives {n_days} days, too few for any Table III t (t >= {FIRST_T} \
+                 plus horizons up to {max_h}); use --weeks {min_weeks} or more",
+                self.weeks
+            );
+            std::process::exit(2);
+        }
+        ts
     }
 }
 

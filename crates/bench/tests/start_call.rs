@@ -1,7 +1,8 @@
 //! The one start call of the experiment binaries, driven through real
 //! processes: explicit flags win over a binary's defaults, and a binary
 //! without a resumable sweep refuses the resume and shard flags before
-//! doing any work.
+//! doing any work, and a sweep binary refuses a series too short for
+//! any `t` before sweeping.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -58,4 +59,25 @@ fn binaries_without_a_resumable_sweep_refuse_resume_and_shard_flags() {
     }
     assert!(std::fs::read_dir(&dir).unwrap().next().is_none(), "nothing was written");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_series_too_short_for_any_table_iii_t_is_refused() {
+    // fig09's horizons reach 29 and fig14's 26: both need t = 52 plus
+    // that inside the series, i.e. at least 12 weeks.
+    for (bin, weeks) in [
+        (env!("CARGO_BIN_EXE_exp_fig09_lift_vs_horizon"), "1"),
+        (env!("CARGO_BIN_EXE_exp_fig14_become_lift_vs_window"), "11"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--sectors", "20", "--weeks", weeks, "--trees", "3"])
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(2), "--weeks {weeks} must exit 2; stderr: {stderr}");
+        assert!(stderr.contains(&format!("--weeks {weeks} gives")), "{stderr}");
+        assert!(stderr.contains("use --weeks 12 or more"), "{stderr}");
+        assert!(!stdout.contains("grid cells evaluated"), "refused before the sweep: {stdout}");
+    }
 }

@@ -28,6 +28,16 @@ pub trait FeatureBuilder: Send + Sync {
     /// from (used for the Fig. 15/16 importance grids). Returns
     /// `(x_column, within_column_index)`.
     fn source_column(&self, output_index: usize, n_features: usize, w: usize) -> (usize, usize);
+
+    /// `Some((groups, per_day))` when every row is `groups` runs, each
+    /// made of one `per_day`-value block per window day (oldest first),
+    /// and each block is a function of that day alone. A window's row
+    /// is then a gather from the whole-series row, which is how
+    /// [`crate::plane::PlaneCache`] builds such planes. `None` (the
+    /// default) means the row must be built from the window itself.
+    fn day_blocks(&self, _n_features: usize) -> Option<(usize, usize)> {
+        None
+    }
 }
 
 #[inline]
@@ -40,7 +50,7 @@ fn finite(v: f64) -> f64 {
 }
 
 /// Assert the window is valid and return its hour range.
-fn window_hours(x: &Tensor3, end_day: usize, w: usize) -> (usize, usize) {
+pub(crate) fn window_hours(x: &Tensor3, end_day: usize, w: usize) -> (usize, usize) {
     assert!(w >= 1, "window must be >= 1 day");
     assert!(end_day >= w, "window underflows day 0");
     let (h0, h1) = (HOURS_PER_DAY * (end_day - w), HOURS_PER_DAY * end_day);
@@ -100,25 +110,34 @@ fn percentile_of(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
+/// The RF-F1 block of one day: the [`PERCENTILES`] of sector `i`'s
+/// column `k` over the 24 hours of `day`, non-finite samples read as 0.
+/// The only implementation of the percentile arithmetic: direct builds
+/// and the plane cache's day table both call it.
+fn day_percentiles(x: &Tensor3, i: usize, day: usize, k: usize, out: &mut Vec<f64>) {
+    let h0 = day * HOURS_PER_DAY;
+    let mut day_vals = [0.0f64; HOURS_PER_DAY];
+    for (h, slot) in day_vals.iter_mut().enumerate() {
+        *slot = finite(x.get(i, h0 + h, k));
+    }
+    day_vals.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
+    for &q in &PERCENTILES {
+        out.push(percentile_of(&day_vals, q));
+    }
+}
+
 impl FeatureBuilder for DailyPercentiles {
     fn dim(&self, n_features: usize, w: usize) -> usize {
         PERCENTILES.len() * w * n_features
     }
 
     fn build(&self, x: &Tensor3, i: usize, end_day: usize, w: usize) -> Vec<f64> {
-        let (h0, _) = window_hours(x, end_day, w);
+        window_hours(x, end_day, w);
         let f = x.n_features();
         let mut out = Vec::with_capacity(self.dim(f, w));
-        let mut day_vals = [0.0f64; HOURS_PER_DAY];
         for k in 0..f {
-            for d in 0..w {
-                for (h, slot) in day_vals.iter_mut().enumerate() {
-                    *slot = finite(x.get(i, h0 + d * HOURS_PER_DAY + h, k));
-                }
-                day_vals.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-                for &q in &PERCENTILES {
-                    out.push(percentile_of(&day_vals, q));
-                }
+            for day in end_day - w..end_day {
+                day_percentiles(x, i, day, k, &mut out);
             }
         }
         out
@@ -131,6 +150,10 @@ impl FeatureBuilder for DailyPercentiles {
     fn source_column(&self, output_index: usize, _n_features: usize, w: usize) -> (usize, usize) {
         let per_col = PERCENTILES.len() * w;
         (output_index / per_col, output_index % per_col)
+    }
+
+    fn day_blocks(&self, n_features: usize) -> Option<(usize, usize)> {
+        Some((n_features, PERCENTILES.len()))
     }
 }
 

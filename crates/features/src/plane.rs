@@ -24,15 +24,28 @@
 //!   without limit. Eviction only costs a rebuild; it never changes
 //!   results.
 //!
+//! * **summarise each day once** — a builder whose rows are per-day
+//!   blocks ([`FeatureBuilder::day_blocks`], i.e. RF-F1) gets one
+//!   *day table* per cache: its whole-series plane (`end_day = w =`
+//!   the series' day count), built lazily by the first such request.
+//!   Every windowed plane of that builder is then a gather of `5·w`
+//!   slices from the table rather than a re-summary of each day. The
+//!   table lives outside the byte budget, so eviction never churns it;
+//!   windowed planes are keyed, counted and evicted exactly like any
+//!   other plane.
+//!
 //! Observability: the cache increments the
 //! `features.cache.{hit,miss,build,evict,bytes}` counters (all
 //! monotone counters — deliberately *not* gauges, which the sweep's
 //! deterministic metrics projection would retain and thereby make it
 //! depend on the eviction history) and wraps each build in a
-//! `features.plane_build` span.
+//! `features.plane_build` span. A day-table build is a nested
+//! `features.day_table` span and adds the (sector, day, column) blocks
+//! it summarised to `features.day_table.blocks`.
 
-use crate::builders::FeatureBuilder;
+use crate::builders::{window_hours, FeatureBuilder};
 use hotspot_core::tensor::Tensor3;
+use hotspot_core::HOURS_PER_DAY;
 use hotspot_obs as obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,6 +84,29 @@ impl FeaturePlane {
         let mut data = Vec::with_capacity(x.n_sectors() * dim);
         for i in 0..x.n_sectors() {
             data.extend(builder.build(x, i, end_day, w));
+        }
+        FeaturePlane { data, dim }
+    }
+
+    /// The `(end_day, w)` plane of a day-separable builder, gathered
+    /// from its whole-series plane `table` of `n_days` days: each row
+    /// is `groups` runs of `w` blocks of `per_day` values.
+    fn gather(
+        table: &FeaturePlane,
+        (groups, per_day): (usize, usize),
+        n_days: usize,
+        end_day: usize,
+        w: usize,
+    ) -> Self {
+        let run = per_day * w;
+        let dim = groups * run;
+        let mut data = Vec::with_capacity(table.n_rows() * dim);
+        for i in 0..table.n_rows() {
+            let row = table.row(i);
+            for g in 0..groups {
+                let start = (g * n_days + end_day - w) * per_day;
+                data.extend_from_slice(&row[start..start + run]);
+            }
         }
         FeaturePlane { data, dim }
     }
@@ -119,6 +155,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Cumulative bytes of built planes (monotone).
     pub bytes_built: u64,
+    /// Day tables built: at most one per day-separable builder, since
+    /// the budget never evicts them.
+    pub day_tables: u64,
 }
 
 /// Concurrent, memory-bounded, read-only-after-build memo of feature
@@ -127,11 +166,14 @@ pub struct PlaneCache {
     budget_bytes: usize,
     tick: AtomicU64,
     entries: Mutex<HashMap<PlaneKey, Arc<Entry>>>,
+    /// Whole-series planes of the day-separable builders, by name.
+    day_tables: Mutex<HashMap<&'static str, Arc<OnceLock<Arc<FeaturePlane>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     builds: AtomicU64,
     evictions: AtomicU64,
     bytes_built: AtomicU64,
+    day_tables_built: AtomicU64,
 }
 
 impl std::fmt::Debug for PlaneCache {
@@ -152,11 +194,13 @@ impl PlaneCache {
             budget_bytes,
             tick: AtomicU64::new(0),
             entries: Mutex::new(HashMap::new()),
+            day_tables: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bytes_built: AtomicU64::new(0),
+            day_tables_built: AtomicU64::new(0),
         }
     }
 
@@ -187,7 +231,17 @@ impl PlaneCache {
         let plane = Arc::clone(entry.plane.get_or_init(|| {
             built_here = true;
             let _span = obs::span!("features.plane_build");
-            let plane = Arc::new(FeaturePlane::build(builder, x, end_day, w));
+            let plane = Arc::new(match builder.day_blocks(x.n_features()) {
+                Some(blocks) => {
+                    // Refuse a bad window as a direct build would,
+                    // before any table work.
+                    window_hours(x, end_day, w);
+                    let n_days = x.n_time() / HOURS_PER_DAY;
+                    let table = self.day_table(builder, x, blocks.0, n_days);
+                    FeaturePlane::gather(&table, blocks, n_days, end_day, w)
+                }
+                None => FeaturePlane::build(builder, x, end_day, w),
+            });
             self.builds.fetch_add(1, Ordering::Relaxed);
             self.bytes_built.fetch_add(plane.bytes() as u64, Ordering::Relaxed);
             obs::counter("features.cache.build").inc();
@@ -198,6 +252,29 @@ impl PlaneCache {
             self.enforce_budget(&key);
         }
         plane
+    }
+
+    /// The whole-series plane of the day-separable `builder` (`groups`
+    /// runs per row over `n_days` days), built on first use by exactly
+    /// one thread and kept for the cache's lifetime.
+    fn day_table(
+        &self,
+        builder: &dyn FeatureBuilder,
+        x: &Tensor3,
+        groups: usize,
+        n_days: usize,
+    ) -> Arc<FeaturePlane> {
+        let cell = {
+            let mut tables = self.day_tables.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(tables.entry(builder.name()).or_default())
+        };
+        Arc::clone(cell.get_or_init(|| {
+            let _span = obs::span!("features.day_table");
+            let table = Arc::new(FeaturePlane::build(builder, x, n_days, n_days));
+            self.day_tables_built.fetch_add(1, Ordering::Relaxed);
+            obs::counter("features.day_table.blocks").add((x.n_sectors() * n_days * groups) as u64);
+            table
+        }))
     }
 
     /// Evict least-recently-used built planes (other than `keep`)
@@ -230,10 +307,12 @@ impl PlaneCache {
             builds: self.builds.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes_built: self.bytes_built.load(Ordering::Relaxed),
+            day_tables: self.day_tables_built.load(Ordering::Relaxed),
         }
     }
 
-    /// Bytes of plane data currently resident.
+    /// Bytes of plane data currently resident under the budget (day
+    /// tables excluded).
     pub fn resident_bytes(&self) -> usize {
         let map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         map.values().filter_map(|e| e.plane.get()).map(|p| p.bytes()).sum()
@@ -264,7 +343,7 @@ mod tests {
         let cache = PlaneCache::new(usize::MAX);
         let builders: [&dyn FeatureBuilder; 3] = [&RawFlatten, &DailyPercentiles, &HandCrafted];
         for builder in builders {
-            for (end, w) in [(5usize, 3usize), (10, 7), (3, 3), (10, 1)] {
+            for (end, w) in [(5usize, 3usize), (10, 7), (3, 3), (10, 1), (10, 10)] {
                 let plane = cache.get_or_build(builder, &x, end, w);
                 assert_eq!(plane.n_rows(), 4);
                 assert_eq!(plane.dim(), builder.dim(x.n_features(), w));
@@ -279,8 +358,99 @@ mod tests {
             }
         }
         let s = cache.stats();
-        assert_eq!(s.builds, 12);
+        assert_eq!(s.builds, 15);
         assert_eq!(s.evictions, 0);
+        assert_eq!(s.day_tables, 1, "only RF-F1 is day-separable");
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|u| u.to_bits()).collect()
+    }
+
+    /// Values that stress the sanitise–sort–interpolate path: NaN,
+    /// ±inf, ±0.0 and repeats, so most days are duplicate-heavy.
+    const PALETTE: [f64; 10] =
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1.0, 1.0, -2.5, 3.25, 1e300];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+
+        /// Every percentile plane gathered from the day table equals
+        /// the direct build bit for bit, for every window that fits.
+        #[test]
+        fn gathered_percentile_planes_equal_direct_builds(
+            n_sectors in 1usize..4,
+            n_days in 1usize..7,
+            extra_hours in 0usize..24,
+            n_features in 1usize..4,
+            cells in proptest::collection::vec(0u8..16, 3 * (6 * 24 + 23) * 3),
+        ) {
+            let n_time = n_days * HOURS_PER_DAY + extra_hours;
+            let x = Tensor3::from_fn(n_sectors, n_time, n_features, |i, j, k| {
+                let c = (i * n_time + j) * n_features + k;
+                match cells[c] as usize {
+                    p if p < PALETTE.len() => PALETTE[p],
+                    _ => (c as f64 * 0.37).sin(),
+                }
+            });
+            let cache = PlaneCache::new(usize::MAX);
+            for end in 1..=n_days {
+                for w in 1..=end {
+                    let plane = cache.get_or_build(&DailyPercentiles, &x, end, w);
+                    for i in 0..n_sectors {
+                        proptest::prop_assert_eq!(
+                            bits(plane.row(i)),
+                            bits(&DailyPercentiles.build(&x, i, end, w)),
+                            "sector {} at end={} w={}", i, end, w
+                        );
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(cache.stats().day_tables, 1);
+        }
+    }
+
+    #[test]
+    fn concurrent_distinct_percentile_planes_share_one_day_table() {
+        let x = x(6, 12);
+        let cache = PlaneCache::new(usize::MAX);
+        std::thread::scope(|scope| {
+            for k in 0..16 {
+                let (cache, x) = (&cache, &x);
+                scope.spawn(move || {
+                    let (end, w) = (12 - k % 4, 1 + k / 4);
+                    let plane = cache.get_or_build(&DailyPercentiles, x, end, w);
+                    assert_eq!(plane.row(3), DailyPercentiles.build(x, 3, end, w).as_slice());
+                });
+            }
+        });
+        let s = cache.stats();
+        assert_eq!(s.builds, 16, "16 distinct keys");
+        assert_eq!(s.day_tables, 1, "16 concurrent planes must share one day table");
+    }
+
+    #[test]
+    fn call_local_and_evicting_caches_give_the_same_rows() {
+        // `new(0)` is `fit_and_forecast`'s call-local cache; `new(1)`
+        // evicts every plane but the latest too. Neither budget may
+        // touch the day table.
+        let x = x(3, 9);
+        let (local, tiny) = (PlaneCache::new(0), PlaneCache::new(1));
+        let builders: [&dyn FeatureBuilder; 3] = [&RawFlatten, &DailyPercentiles, &HandCrafted];
+        for builder in builders {
+            for (end, w) in [(9usize, 9usize), (4, 2), (9, 1), (7, 7)] {
+                let a = local.get_or_build(builder, &x, end, w);
+                let b = tiny.get_or_build(builder, &x, end, w);
+                for i in 0..3 {
+                    assert_eq!(a.row(i), b.row(i), "{} row {i} at end={end} w={w}", builder.name());
+                }
+            }
+        }
+        for cache in [&local, &tiny] {
+            let s = cache.stats();
+            assert_eq!((s.builds, s.evictions, s.day_tables), (12, 11, 1));
+            assert_eq!(cache.resident_planes(), 1);
+        }
     }
 
     #[test]

@@ -441,6 +441,8 @@ mod tests {
         snap.counters.insert("sweep.checkpoint_appends".into(), 8);
         snap.counters.insert("trees.split_evaluations".into(), 999);
         snap.counters.insert("imputer.cells_imputed".into(), 50);
+        // One day table per cache, so per shard process: topology-dependent.
+        snap.counters.insert("features.day_table.blocks".into(), 12600);
         snap.gauges.insert("imputer.reconstruction_error".into(), 0.125);
         snap.annotations.insert("sweep_health".into(), "...".into());
         let p = deterministic_projection(&snap);

@@ -9,6 +9,8 @@
 use hotspot::analysis::hourly::busiest_hour_window;
 use hotspot::core::ScorePipeline;
 use hotspot::eval::calibration::{brier_score, reliability_curve};
+use hotspot::features::builders::{DailyPercentiles, FeatureBuilder};
+use hotspot::features::plane::{self, PlaneCache};
 use hotspot::features::tensor_x::feature_name;
 use hotspot::features::windows::WindowSpec;
 use hotspot::forecast::classifier::{fit_and_forecast, ClassifierConfig, ClassifierKind, Representation};
@@ -16,6 +18,7 @@ use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::nn::imputer::{ForwardFillImputer, Imputer};
 use hotspot::simnet::{NetworkConfig, SyntheticNetwork};
 use hotspot::trees::{Dataset, DecisionTree, TreeParams};
+use std::sync::Arc;
 
 fn main() {
     let config = NetworkConfig::small().with_sectors(150).with_weeks(12);
@@ -30,32 +33,35 @@ fn main() {
     let (start, end) = busiest_hour_window(&scored.y_hourly, 4);
     println!("busiest 4-hour window of the day: {start:02}:00-{end:02}:00\n");
 
+    // One feature-plane cache serves this tree and the forests below.
+    let cache = Arc::new(PlaneCache::new(plane::BUDGET_BYTES));
+
     // --- Inspect a single tree, paper-style: which feature does the
     // first split use?
     let spec = WindowSpec::new(50, 5, 7);
-    let builder = hotspot::features::builders::DailyPercentiles;
-    use hotspot::features::builders::FeatureBuilder;
+    let builder = DailyPercentiles;
     let mut rows = Vec::new();
     let mut labels = Vec::new();
     for d in 0..10usize {
-        let t = 50 - d;
+        let t = spec.t - d;
+        let plane = cache.get_or_build(&builder, &ctx.x, t - spec.h, spec.w);
         for i in 0..ctx.n_sectors() {
             let y = ctx.target.get(i, t);
             if y.is_nan() {
                 continue;
             }
-            rows.extend(builder.build(&ctx.x, i, t - 5, 7));
+            rows.extend_from_slice(plane.row(i));
             labels.push(y >= 0.5);
         }
     }
-    let dim = builder.dim(ctx.x.n_features(), 7);
+    let dim = builder.dim(ctx.x.n_features(), spec.w);
     let mut data = Dataset::new(rows, dim, labels).expect("finite features");
     data.balance_weights();
     let tree = DecisionTree::fit(&data, &TreeParams::paper_tree());
     println!("single tree: {} nodes, depth {}", tree.n_nodes(), tree.depth());
     println!("top splits (breadth-first):");
     for s in tree.describe_splits(5) {
-        let (col, within) = builder.source_column(s.feature, ctx.x.n_features(), 7);
+        let (col, within) = builder.source_column(s.feature, ctx.x.n_features(), spec.w);
         println!(
             "  depth {}: {} (percentile slot {}) <= {:.4}",
             s.depth,
@@ -66,7 +72,7 @@ fn main() {
     }
     println!("\ntree rendered to depth 2:");
     let name_of = |k: usize| {
-        let (col, _) = builder.source_column(k, 30, 7);
+        let (col, _) = builder.source_column(k, 30, spec.w);
         feature_name(col)
     };
     print!("{}", tree.render(2, &name_of));
@@ -81,7 +87,7 @@ fn main() {
         forest_threads: None,
         cancel: None,
         split: Default::default(),
-        plane_cache: None,
+        plane_cache: Some(Arc::clone(&cache)),
     };
     let mut all_labels = Vec::new();
     let mut all_probs = Vec::new();
@@ -109,5 +115,4 @@ fn main() {
             bin.mean_predicted, bin.observed, bin.count,
         );
     }
-    let _ = spec;
 }

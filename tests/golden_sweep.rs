@@ -1,6 +1,9 @@
-//! Pinned science: the canonical TSV of a small simulated-network
-//! sweep over the Tree, RF-R and RF-F1 classifiers must match
-//! `tests/golden/sweep_small.tsv` byte for byte.
+//! Pinned science: the canonical TSVs of two small simulated-network
+//! sweeps must match their golden files byte for byte —
+//! `tests/golden/sweep_small.tsv` (Tree, RF-R and RF-F1 on the be
+//! target at `w = 1`) and `tests/golden/window_sweep_small.tsv` (RF-F1
+//! and RF-F2 on the become target at `w ∈ {1, 3, 7}`, so windowed
+//! percentile planes of several widths are pinned too).
 //!
 //! The cross-topology identity tests (sharding, cache, resume) only
 //! prove that two runs of the *same* code agree; this one catches a
@@ -22,16 +25,20 @@ use hotspot::nn::imputer::{ForwardFillImputer, Imputer, MeanImputer};
 use hotspot::simnet::{NetworkConfig, SyntheticNetwork};
 
 const GOLDEN: &str = include_str!("golden/sweep_small.tsv");
+const WINDOW_GOLDEN: &str = include_str!("golden/window_sweep_small.tsv");
 
-fn context() -> ForecastContext {
-    let config = NetworkConfig::small().with_sectors(40).with_weeks(6);
+fn context(target: Target, failures_per_tower_week: Option<f64>) -> ForecastContext {
+    let mut config = NetworkConfig::small().with_sectors(40).with_weeks(6);
+    if let Some(rate) = failures_per_tower_week {
+        config.events.failures_per_tower_week = rate;
+    }
     let network = SyntheticNetwork::generate(&config, 5);
     let mask = sector_filter_mask(network.kpis(), 0.5).unwrap();
     let mut kpis = network.kpis().retain_sectors(&mask).unwrap();
     ForwardFillImputer.impute(&mut kpis);
     MeanImputer.impute(&mut kpis);
     let scored = ScorePipeline::standard().run(&kpis).unwrap();
-    ForecastContext::build(&kpis, &scored, Target::BeHotSpot).unwrap()
+    ForecastContext::build(&kpis, &scored, target).unwrap()
 }
 
 fn config() -> SweepConfig {
@@ -50,24 +57,44 @@ fn config() -> SweepConfig {
     }
 }
 
-#[test]
-fn small_sweep_matches_the_pinned_golden_tsv() {
-    let ctx = context();
+/// Run `cfg` on `ctx` and compare its canonical TSV with `golden`
+/// (`tests/golden/<stem>.tsv`).
+fn assert_matches_golden(ctx: &ForecastContext, cfg: &SweepConfig, stem: &str, golden: &str) {
     assert!(
-        ctx.n_sectors() * 8 > 255,
+        ctx.n_sectors() * cfg.train_days > 255,
         "training sets must exceed 255 rows so quantile grouping runs"
     );
-    let cfg = config();
-    let result = run_sweep(&ctx, &cfg);
+    let result = run_sweep(ctx, cfg);
     assert!(result.health.is_clean(), "{}", result.health.summary());
-    let tsv = canonical_tsv(&SweepPlan::new(&cfg), &result).unwrap();
-    if tsv != GOLDEN {
-        let path = std::env::temp_dir().join("sweep_small.actual.tsv");
+    let tsv = canonical_tsv(&SweepPlan::new(cfg), &result).unwrap();
+    if tsv != golden {
+        let path = std::env::temp_dir().join(format!("{stem}.actual.tsv"));
         std::fs::write(&path, &tsv).unwrap();
         panic!(
-            "sweep output differs from tests/golden/sweep_small.tsv; the new output is in {} \
+            "sweep output differs from tests/golden/{stem}.tsv; the new output is in {} \
              — copy it over the golden file only for a deliberate science change",
             path.display()
         );
     }
+}
+
+#[test]
+fn small_sweep_matches_the_pinned_golden_tsv() {
+    assert_matches_golden(&context(Target::BeHotSpot, None), &config(), "sweep_small", GOLDEN);
+}
+
+#[test]
+fn window_sweep_matches_the_pinned_golden_tsv() {
+    // The become target at the become-binaries' failure rate; the
+    // `t`s put most target days on one of the rare emergences, so
+    // most cells have positives to evaluate.
+    let ctx = context(Target::BecomeHotSpot, Some(0.08));
+    let cfg = SweepConfig {
+        models: vec![ModelSpec::RfF1, ModelSpec::RfF2],
+        ts: vec![17, 20, 28],
+        hs: vec![1, 3],
+        ws: vec![1, 3, 7],
+        ..config()
+    };
+    assert_matches_golden(&ctx, &cfg, "window_sweep_small", WINDOW_GOLDEN);
 }

@@ -117,7 +117,11 @@ fn sweep_metrics_agree_with_health_and_manifest_round_trips() {
 
     // Classifier cells leave the fitting layers' spans: assembly, the
     // single tree, and the binning inside every tree and forest fit,
-    // with `trees.bins_built` counting the bins those builds made.
+    // with `trees.bins_built` counting the bins those builds made. The
+    // RF-F1 cells also build the sweep cache's one day table, which
+    // summarises every (sector, day, column) block exactly once; the
+    // baseline-only sweeps above built none.
+    assert_eq!(count2("features.day_table.blocks"), 0, "no percentile plane yet");
     let classifiers = SweepConfig {
         models: vec![ModelSpec::Tree, ModelSpec::RfF1],
         ts: vec![24, 28],
@@ -144,6 +148,10 @@ fn sweep_metrics_agree_with_health_and_manifest_round_trips() {
     assert_eq!(calls("tree.fit") + calls("forest.fit"), calls("trees.bin"), "one build per fit");
     let bins = snap3.counters.get("trees.bins_built").copied().unwrap_or(0);
     assert!(bins >= calls("trees.bin"), "every build bins each feature at least once: {bins}");
+    assert_eq!(calls("features.day_table"), 1, "one day table per sweep cache");
+    let blocks = snap3.counters.get("features.day_table.blocks").copied().unwrap_or(0);
+    let n_days = c.x.n_time() / hotspot::core::HOURS_PER_DAY;
+    assert_eq!(blocks as usize, c.n_sectors() * n_days * c.x.n_features(), "each block once");
 
     obs::set_spans_enabled(false);
     std::fs::remove_dir_all(&dir).ok();

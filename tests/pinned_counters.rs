@@ -9,8 +9,10 @@
 //!   forest with exact and histogram split finding at the sweep's
 //!   working shape (5000 rows × 63 features); pins
 //!   `trees.split_evaluations`.
-//! * `sweep_cell`: one reduced in-process sweep; pins
-//!   `trees.split_evaluations` summed over the grid.
+//! * `sweep_cell`: one reduced in-process RF-F1 sweep; pins
+//!   `trees.split_evaluations` summed over the grid, and
+//!   `features.day_table.blocks`, the (sector, day, column) blocks its
+//!   plane cache's day table summarised (each exactly once).
 //! * `imputer_fit`: train the autoencoder imputer on a gapped
 //!   synthetic tensor; pins `imputer.cells_imputed`.
 //! * `bin_build`: quantise the Raw w=7 training set of the sweep's
@@ -38,6 +40,7 @@ use hotspot::trees::{BinnedDataset, Dataset, RandomForest, RandomForestParams, S
 const FOREST_FIT_EXACT_SPLIT_EVALUATIONS: u64 = 37544;
 const FOREST_FIT_HIST_SPLIT_EVALUATIONS: u64 = 37816;
 const SWEEP_CELL_SPLIT_EVALUATIONS: u64 = 792;
+const SWEEP_CELL_DAY_TABLE_BLOCKS: u64 = 12600;
 const IMPUTER_FIT_CELLS_IMPUTED: u64 = 171;
 const BIN_BUILD_BINS_BUILT: u64 = 9688;
 
@@ -198,9 +201,12 @@ fn pinned_counters_and_determinism_gates() {
     );
 
     let ctx = sweep_context();
-    let (sweep, result) = counted("trees.split_evaluations", || run_sweep(&ctx, &sweep_config()));
+    let (blocks, (sweep, result)) = counted("features.day_table.blocks", || {
+        counted("trees.split_evaluations", || run_sweep(&ctx, &sweep_config()))
+    });
     assert!(result.health.is_clean(), "sweep must be clean: {}", result.health.summary());
     assert_eq!(sweep, SWEEP_CELL_SPLIT_EVALUATIONS, "sweep_cell: trees.split_evaluations");
+    assert_eq!(blocks, SWEEP_CELL_DAY_TABLE_BLOCKS, "sweep_cell: features.day_table.blocks");
 
     let mut kpis = gapped_kpis();
     let (imputed, filled) = counted("imputer.cells_imputed", || {
