@@ -6,13 +6,14 @@ use hotspot_bench::experiments::{context, sweep_config};
 use hotspot_bench::report::{print_header, print_row, print_section, Cell};
 use hotspot_bench::{start, RunOptions, SweepFlags};
 use hotspot_eval::stats::mean_ci95;
-use hotspot_features::builders::{DailyPercentiles, FeatureBuilder};
-use hotspot_features::plane::{self, PlaneCache};
-use hotspot_features::windows::{train_window_days, WindowSpec};
+use hotspot_features::builders::DailyPercentiles;
+use hotspot_features::windows::WindowSpec;
+use hotspot_forecast::classifier::training_set;
 use hotspot_forecast::context::Target;
 use hotspot_forecast::evaluate::evaluate_day;
 use hotspot_forecast::models::ModelSpec;
-use hotspot_trees::{Dataset, DecisionTree, MaxFeatures, TreeParams};
+use hotspot_forecast::SweepCache;
+use hotspot_trees::{DecisionTree, MaxFeatures, TreeParams};
 
 fn main() {
     let (_run, opts, prep) =
@@ -20,10 +21,14 @@ fn main() {
 
     let ctx = context(&prep, Target::BeHotSpot);
     let (h, w) = (5usize, 7usize);
-    let builder = DailyPercentiles;
+    // The forest reference's own training sets: the same label days
+    // and rows the sweep below fits RF-F1 on.
+    let forest = ModelSpec::RfF1
+        .classifier_config(opts.trees, opts.train_days, opts.seed, opts.split_strategy())
+        .expect("RF-F1 is a classifier");
     // One cache for every variant, so each window is featurised once
-    // (and each day summarised once, in the cache's day table).
-    let cache = PlaneCache::new(plane::BUDGET_BYTES);
+    // and each training column quantised once.
+    let cache = SweepCache::default();
 
     let variants: Vec<(&str, TreeParams)> = vec![
         ("tree_2pct_stop", TreeParams { split: opts.split_strategy(), ..TreeParams::paper_tree() }),
@@ -53,34 +58,13 @@ fn main() {
             if !spec.fits(ctx.n_days()) {
                 continue;
             }
-            // Assemble training data over train_days label days.
-            let mut rows = Vec::new();
-            let mut labels = Vec::new();
-            for d in 0..opts.train_days {
-                if t < d {
-                    break;
-                }
-                let sub = WindowSpec::new(t - d, h, w);
-                let Some((_, end)) = train_window_days(&sub) else { break };
-                let plane = cache.get_or_build(&builder, &ctx.x, end, w);
-                for i in 0..ctx.n_sectors() {
-                    let y = ctx.target.get(i, t - d);
-                    if y.is_nan() {
-                        continue;
-                    }
-                    rows.extend_from_slice(plane.row(i));
-                    labels.push(y >= 0.5);
-                }
-            }
-            if labels.is_empty() {
+            let Some(set) = training_set(&ctx, &spec, &forest, &cache) else {
                 continue;
-            }
-            let dim = builder.dim(ctx.x.n_features(), w);
-            let mut data = Dataset::new(rows, dim, labels).expect("finite features");
-            data.balance_weights();
-            let tree = DecisionTree::fit(&data, &TreeParams { seed: opts.seed, ..params.clone() });
+            };
+            let params = TreeParams { seed: opts.seed, ..params.clone() };
+            let tree = DecisionTree::fit_binned(&set.data, set.binned.as_ref(), &params);
             nodes.push(tree.n_nodes() as f64);
-            let forecast = cache.get_or_build(&builder, &ctx.x, t, w);
+            let forecast = cache.planes.get_or_build(&DailyPercentiles, &ctx.x, t, w);
             let preds: Vec<f64> =
                 (0..ctx.n_sectors()).map(|i| tree.predict_proba(forecast.row(i))).collect();
             if let Some(rec) = evaluate_day(&ctx, &spec, &preds, 15, opts.seed) {

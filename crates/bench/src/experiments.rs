@@ -165,7 +165,7 @@ pub fn run_sweep_with_options(
             config,
             shard,
             checkpoint: Some(files.checkpoint),
-            plane_cache: None,
+            cache: None,
         };
         let cells = executor.execute(&plan).unwrap_or_else(|e| {
             obs::error!("sweep shard {shard} error: {e}");

@@ -28,6 +28,7 @@ pub mod io;
 pub mod kpi;
 pub mod labels;
 pub mod matrix;
+pub mod memo;
 pub mod missing;
 pub mod pipeline;
 pub mod score;

@@ -8,7 +8,8 @@
 //! `n_sectors × dim` matrix of builder outputs) recurs across models,
 //! horizons, evaluation days, and overlapping `train_days` stacks.
 //!
-//! [`PlaneCache`] memoises those planes:
+//! [`PlaneCache`] memoises those planes in a [`Memo`], the build-once,
+//! byte-bounded map every sweep cache uses:
 //!
 //! * **build-once** — each key's plane is built by exactly one thread
 //!   (concurrent requesters for the same key block on a per-entry
@@ -44,6 +45,7 @@
 //! it summarised to `features.day_table.blocks`.
 
 use crate::builders::{window_hours, FeatureBuilder};
+use hotspot_core::memo::Memo;
 use hotspot_core::tensor::Tensor3;
 use hotspot_core::HOURS_PER_DAY;
 use hotspot_obs as obs;
@@ -132,13 +134,6 @@ impl FeaturePlane {
     }
 }
 
-/// Per-key slot: the build-once cell plus an LRU tick.
-#[derive(Default)]
-struct Entry {
-    plane: OnceLock<Arc<FeaturePlane>>,
-    last_used: AtomicU64,
-}
-
 /// Point-in-time cache statistics (per-instance, unlike the global
 /// obs counters, so tests can make exact assertions in parallel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,9 +158,7 @@ pub struct CacheStats {
 /// Concurrent, memory-bounded, read-only-after-build memo of feature
 /// planes, shared via `Arc` across grid cells and worker threads.
 pub struct PlaneCache {
-    budget_bytes: usize,
-    tick: AtomicU64,
-    entries: Mutex<HashMap<PlaneKey, Arc<Entry>>>,
+    planes: Memo<PlaneKey, FeaturePlane>,
     /// Whole-series planes of the day-separable builders, by name.
     day_tables: Mutex<HashMap<&'static str, Arc<OnceLock<Arc<FeaturePlane>>>>>,
     hits: AtomicU64,
@@ -179,7 +172,7 @@ pub struct PlaneCache {
 impl std::fmt::Debug for PlaneCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlaneCache")
-            .field("budget_bytes", &self.budget_bytes)
+            .field("budget_bytes", &self.planes.budget_bytes())
             .field("stats", &self.stats())
             .finish()
     }
@@ -191,9 +184,7 @@ impl PlaneCache {
     /// oversized plane still caches (alone).
     pub fn new(budget_bytes: usize) -> Self {
         PlaneCache {
-            budget_bytes,
-            tick: AtomicU64::new(0),
-            entries: Mutex::new(HashMap::new()),
+            planes: Memo::new(budget_bytes, FeaturePlane::bytes),
             day_tables: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -214,24 +205,9 @@ impl PlaneCache {
         w: usize,
     ) -> Arc<FeaturePlane> {
         let key = PlaneKey { builder: builder.name(), end_day, w };
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = {
-            let mut map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(map.entry(key).or_default())
-        };
-        entry.last_used.store(tick, Ordering::Relaxed);
-        if let Some(plane) = entry.plane.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            obs::counter("features.cache.hit").inc();
-            return Arc::clone(plane);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs::counter("features.cache.miss").inc();
-        let mut built_here = false;
-        let plane = Arc::clone(entry.plane.get_or_init(|| {
-            built_here = true;
+        let lookup = self.planes.get_or_build(&key, || {
             let _span = obs::span!("features.plane_build");
-            let plane = Arc::new(match builder.day_blocks(x.n_features()) {
+            match builder.day_blocks(x.n_features()) {
                 Some(blocks) => {
                     // Refuse a bad window as a direct build would,
                     // before any table work.
@@ -241,15 +217,25 @@ impl PlaneCache {
                     FeaturePlane::gather(&table, blocks, n_days, end_day, w)
                 }
                 None => FeaturePlane::build(builder, x, end_day, w),
-            });
+            }
+        });
+        let plane = lookup.value;
+        if lookup.hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            obs::counter("features.cache.hit").inc();
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            obs::counter("features.cache.miss").inc();
+        }
+        if lookup.built {
             self.builds.fetch_add(1, Ordering::Relaxed);
             self.bytes_built.fetch_add(plane.bytes() as u64, Ordering::Relaxed);
             obs::counter("features.cache.build").inc();
             obs::counter("features.cache.bytes").add(plane.bytes() as u64);
-            plane
-        }));
-        if built_here {
-            self.enforce_budget(&key);
+        }
+        if lookup.evicted > 0 {
+            self.evictions.fetch_add(lookup.evicted, Ordering::Relaxed);
+            obs::counter("features.cache.evict").add(lookup.evicted);
         }
         plane
     }
@@ -277,28 +263,6 @@ impl PlaneCache {
         }))
     }
 
-    /// Evict least-recently-used built planes (other than `keep`)
-    /// until the resident payload fits the budget.
-    fn enforce_budget(&self, keep: &PlaneKey) {
-        let mut map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            let resident: usize =
-                map.values().filter_map(|e| e.plane.get()).map(|p| p.bytes()).sum();
-            if resident <= self.budget_bytes {
-                return;
-            }
-            let victim = map
-                .iter()
-                .filter(|(k, e)| *k != keep && e.plane.get().is_some())
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else { return };
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            obs::counter("features.cache.evict").inc();
-        }
-    }
-
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -314,14 +278,12 @@ impl PlaneCache {
     /// Bytes of plane data currently resident under the budget (day
     /// tables excluded).
     pub fn resident_bytes(&self) -> usize {
-        let map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        map.values().filter_map(|e| e.plane.get()).map(|p| p.bytes()).sum()
+        self.planes.resident_bytes()
     }
 
     /// Number of built planes currently resident.
     pub fn resident_planes(&self) -> usize {
-        let map = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        map.values().filter(|e| e.plane.get().is_some()).count()
+        self.planes.resident()
     }
 }
 

@@ -10,6 +10,7 @@
 //! several trailing label days (documented deviation — set it to 1
 //! for the paper's exact protocol).
 
+use crate::cache::{DayBlockColumns, SweepCache};
 use crate::context::ForecastContext;
 use hotspot_features::builders::{DailyPercentiles, FeatureBuilder, HandCrafted, RawFlatten};
 use hotspot_features::plane::PlaneCache;
@@ -17,8 +18,8 @@ use hotspot_features::windows::{train_window_days, WindowSpec};
 use hotspot_core::matrix::Matrix;
 use hotspot_obs as obs;
 use hotspot_trees::{
-    CancelToken, Dataset, DecisionTree, GradientBoosting, GradientBoostingParams, RandomForest,
-    RandomForestParams, SplitStrategy, TreeParams,
+    BinnedDataset, CancelToken, Dataset, DecisionTree, GradientBoosting, GradientBoostingParams,
+    RandomForest, RandomForestParams, SplitStrategy, TreeParams,
 };
 use std::sync::Arc;
 
@@ -85,13 +86,14 @@ pub struct ClassifierConfig {
     /// Split-search strategy for every tree-based estimator
     /// (histogram by default; exact for reference runs).
     pub split: SplitStrategy,
-    /// Shared feature-plane cache. Training assembly and forecasting
-    /// always gather rows from `(representation, end_day, w)` planes
-    /// (a plane row *is* the builder's output). Sweep executors
-    /// install one cache per process so cells share planes;
-    /// standalone callers leave it `None` and each fit uses a cache
-    /// local to the call.
-    pub plane_cache: Option<Arc<PlaneCache>>,
+    /// Shared per-sweep cache. Training assembly and forecasting
+    /// always gather rows from its `(representation, end_day, w)`
+    /// planes (a plane row *is* the builder's output), and day-block
+    /// fits put their binned view together from its stored columns.
+    /// Sweep executors install one cache per process so cells share
+    /// both; standalone callers leave it `None` and each fit uses a
+    /// cache local to the call.
+    pub cache: Option<Arc<SweepCache>>,
 }
 
 impl ClassifierConfig {
@@ -106,7 +108,7 @@ impl ClassifierConfig {
             forest_threads: None,
             cancel: None,
             split: SplitStrategy::default(),
-            plane_cache: None,
+            cache: None,
         }
     }
 }
@@ -218,6 +220,17 @@ pub fn assemble_training(
     config: &ClassifierConfig,
     cache: &PlaneCache,
 ) -> Option<Dataset> {
+    assemble(ctx, spec, config, cache).map(|(data, _)| data)
+}
+
+/// [`assemble_training`], plus the label days that contributed rows,
+/// in row order.
+fn assemble(
+    ctx: &ForecastContext,
+    spec: &WindowSpec,
+    config: &ClassifierConfig,
+    cache: &PlaneCache,
+) -> Option<(Dataset, Vec<usize>)> {
     let _span = obs::span!("classifier.assemble");
     let builder = config.representation.builder();
     let f = ctx.x.n_features();
@@ -228,6 +241,7 @@ pub fn assemble_training(
     let capacity = label_days.len() * ctx.n_sectors();
     let mut rows: Vec<f64> = Vec::with_capacity(capacity * dim);
     let mut labels: Vec<bool> = Vec::with_capacity(capacity);
+    let mut contributed = Vec::with_capacity(label_days.len());
     for label_day in label_days {
         let sub = WindowSpec { t: label_day, h: spec.h, w: spec.w };
         let Some((start, end)) = train_window_days(&sub) else {
@@ -239,6 +253,7 @@ pub fn assemble_training(
         // below, but the full plane is what every other cell needs
         // anyway.
         let plane = cache.get_or_build(builder, &ctx.x, end, spec.w);
+        let before = labels.len();
         for i in 0..ctx.n_sectors() {
             let y = ctx.target.get(i, label_day);
             if y.is_nan() {
@@ -247,13 +262,57 @@ pub fn assemble_training(
             rows.extend_from_slice(plane.row(i));
             labels.push(y >= 0.5);
         }
+        if labels.len() > before {
+            contributed.push(label_day);
+        }
     }
     if labels.is_empty() {
         return None;
     }
     let mut data = Dataset::new(rows, dim, labels).ok()?;
     data.balance_weights();
-    Some(data)
+    Some((data, contributed))
+}
+
+/// A fit's training inputs: the assembled dataset and, when the split
+/// strategy bins it ([`SplitStrategy::bins_for`]), its binned view.
+pub struct TrainingSet {
+    /// The assembled rows, labels and balanced weights.
+    pub data: Dataset,
+    /// The view histogram search runs on (`None`: exact search).
+    pub binned: Option<BinnedDataset>,
+}
+
+/// Assemble the training set for `(t, h, w)` from `cache`'s planes and
+/// bin it. A day-block representation (RF-F1) takes its binned view
+/// from `cache`'s column store, quantising only the columns no earlier
+/// fit stored; the others bin their own set. Either way the view is
+/// bit-identical to `BinnedDataset::build` on the assembled set.
+/// Returns `None` when no valid training instance exists.
+pub fn training_set(
+    ctx: &ForecastContext,
+    spec: &WindowSpec,
+    config: &ClassifierConfig,
+    cache: &SweepCache,
+) -> Option<TrainingSet> {
+    let (data, label_days) = assemble(ctx, spec, config, &cache.planes)?;
+    let builder = config.representation.builder();
+    let binned = config.split.bins_for(data.n_samples()).map(|max_bins| {
+        match builder.day_blocks(ctx.x.n_features()) {
+            Some(blocks) => {
+                let source = DayBlockColumns {
+                    builder: builder.name(),
+                    blocks,
+                    h: spec.h,
+                    w: spec.w,
+                    label_days: &label_days,
+                };
+                cache.columns.view(&data, &source, max_bins)
+            }
+            None => BinnedDataset::build(&data, max_bins),
+        }
+    });
+    Some(TrainingSet { data, binned })
 }
 
 /// Fit a classifier at `(t, h, w)` and forecast day `t + h`.
@@ -267,19 +326,20 @@ pub fn fit_and_forecast(
     config: &ClassifierConfig,
 ) -> Option<FittedClassifier> {
     // Without a shared cache, one local to this call keeps a single
-    // featurisation path. A call never requests the same plane twice
-    // (every training day and the forecast window end on distinct
-    // days), so it need keep no plane past its use: a zero budget
-    // holds only the latest one.
+    // featurisation and binning path. A call never requests the same
+    // plane or lag twice (every training day and the forecast window
+    // end on distinct days), so it need keep nothing past its use:
+    // zero budgets hold only the latest entry.
     let local;
-    let cache = match &config.plane_cache {
+    let cache = match &config.cache {
         Some(shared) => shared.as_ref(),
         None => {
-            local = PlaneCache::new(0);
+            local = SweepCache::with_budgets(0, 0);
             &local
         }
     };
-    let data = assemble_training(ctx, spec, config, cache)?;
+    let TrainingSet { data, binned } = training_set(ctx, spec, config, cache)?;
+    let binned = binned.as_ref();
     let builder = config.representation.builder();
     let n_train = data.n_samples();
     let n_train_pos = (0..n_train).filter(|&i| data.label(i)).count();
@@ -288,8 +348,9 @@ pub fn fit_and_forecast(
     let importances: Vec<f64>;
     match config.kind {
         ClassifierKind::Tree => {
-            let tree = DecisionTree::fit(
+            let tree = DecisionTree::fit_binned(
                 &data,
+                binned,
                 &TreeParams {
                     seed: config.seed,
                     split: config.split,
@@ -314,13 +375,14 @@ pub fn fit_and_forecast(
             params.cancel = config.cancel.clone();
             params.tree.min_weight_fraction = min_frac;
             params.tree.split = config.split;
-            let forest = RandomForest::fit(&data, &params);
+            let forest = RandomForest::fit_binned(&data, binned, &params);
             importances = forest.feature_importances().to_vec();
             predict = Box::new(move |row| forest.predict_proba(row));
         }
         ClassifierKind::Gbdt => {
-            let gbdt = GradientBoosting::fit(
+            let gbdt = GradientBoosting::fit_binned(
                 &data,
+                binned,
                 &GradientBoostingParams {
                     n_rounds: config.n_trees.max(1),
                     seed: config.seed,
@@ -336,7 +398,7 @@ pub fn fit_and_forecast(
 
     // Forecast side: the fresh window ending at `t` is itself a
     // shareable plane (same key for every h at a given (t, w)).
-    let forecast_plane = cache.get_or_build(builder, &ctx.x, spec.t, spec.w);
+    let forecast_plane = cache.planes.get_or_build(builder, &ctx.x, spec.t, spec.w);
     let mut predictions: Vec<f64> =
         (0..ctx.n_sectors()).map(|i| predict(forecast_plane.row(i))).collect();
     // Deterministic informative tie-break: at reduced scale many
@@ -399,7 +461,7 @@ mod tests {
             forest_threads: Some(2),
             cancel: None,
             split: SplitStrategy::default(),
-            plane_cache: None,
+            cache: None,
         }
     }
 
@@ -498,18 +560,18 @@ mod tests {
 
     #[test]
     fn cached_fit_matches_uncached_bitwise() {
-        // The call-local cache (`plane_cache: None`) against one shared
+        // The call-local cache (`cache: None`) against one shared
         // cache that stays warm across every fit below.
         let c = ctx();
         let spec = WindowSpec::new(16, 2, 7);
-        let shared = Arc::new(PlaneCache::new(usize::MAX));
+        let shared = Arc::new(SweepCache::with_budgets(usize::MAX, usize::MAX));
         for kind in [ClassifierKind::Tree, ClassifierKind::Forest, ClassifierKind::Gbdt] {
             for repr in
                 [Representation::Raw, Representation::Percentiles, Representation::HandCrafted]
             {
                 let local_config = small_config(kind, repr);
                 let shared_config = ClassifierConfig {
-                    plane_cache: Some(Arc::clone(&shared)),
+                    cache: Some(Arc::clone(&shared)),
                     ..local_config.clone()
                 };
                 let local = fit_and_forecast(&c, &spec, &local_config).unwrap();
@@ -522,10 +584,13 @@ mod tests {
             }
         }
         // Each representation's planes were built by its first fit and
-        // served warm to the other two kinds.
-        let stats = shared.stats();
+        // served warm to the other two kinds; so were RF-F1's columns.
+        let stats = shared.planes.stats();
         assert!(stats.builds > 0);
         assert_eq!(stats.hits, 2 * stats.builds);
+        let columns = shared.columns.stats();
+        assert_eq!(columns.columns_quantised, 5 * 7 * 30, "one fit's 5w·F columns");
+        assert_eq!(columns.columns_reused, 2 * columns.columns_quantised);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! execution plus a deterministic merge.
 
 pub mod baselines;
+pub mod cache;
 pub mod checkpoint;
 pub mod classifier;
 pub mod context;
@@ -18,6 +19,7 @@ pub mod models;
 pub mod sweep;
 
 pub use baselines::{average_forecast, persist_forecast, random_forecast, trend_forecast};
+pub use cache::SweepCache;
 pub use classifier::{ClassifierConfig, ClassifierKind, FittedClassifier};
 pub use context::{ForecastContext, Target};
 pub use evaluate::{evaluate_day, EvalRecord};

@@ -109,7 +109,7 @@ impl ModelSpec {
             forest_threads: None,
             cancel: None,
             split,
-            plane_cache: None,
+            cache: None,
         })
     }
 

@@ -443,6 +443,11 @@ mod tests {
         snap.counters.insert("imputer.cells_imputed".into(), 50);
         // One day table per cache, so per shard process: topology-dependent.
         snap.counters.insert("features.day_table.blocks".into(), 12600);
+        // Each shard process keeps its own column store, so how many
+        // columns it quantises, reuses or evicts is topology-dependent.
+        snap.counters.insert("bins.columns_quantised".into(), 4500);
+        snap.counters.insert("bins.columns_reused".into(), 1500);
+        snap.counters.insert("bins.lags_evicted".into(), 2);
         snap.gauges.insert("imputer.reconstruction_error".into(), 0.125);
         snap.annotations.insert("sweep_health".into(), "...".into());
         let p = deterministic_projection(&snap);

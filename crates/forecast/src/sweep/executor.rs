@@ -15,13 +15,13 @@
 
 use super::plan::{CellKey, ShardSpec, SweepPlan};
 use super::{CellOutcome, SweepCell, SweepConfig};
+use crate::cache::SweepCache;
 use crate::checkpoint::{config_fingerprint, load_checkpoint_sharded, CheckpointWriter};
 use crate::classifier::fit_and_forecast;
 use crate::context::ForecastContext;
 use crate::evaluate::{evaluate_day, EvalRecord};
 use crate::models::ModelSpec;
 use hotspot_core::error::{CoreError, Result as CoreResult};
-use hotspot_features::plane::{self, PlaneCache};
 use hotspot_features::windows::WindowSpec;
 use hotspot_obs as obs;
 use hotspot_trees::CancelToken;
@@ -46,11 +46,11 @@ pub struct InProcessExecutor<'a> {
     /// Optional append-only checkpoint journal; existing cells are
     /// adopted instead of recomputed.
     pub checkpoint: Option<PathBuf>,
-    /// Externally supplied feature-plane cache. `None` (the normal
-    /// case) builds one per `execute()` with the
-    /// [`plane::BUDGET_BYTES`] budget; tests inject a cache here to
-    /// observe its per-instance statistics.
-    pub plane_cache: Option<Arc<PlaneCache>>,
+    /// Externally supplied sweep cache (feature planes and quantised
+    /// columns). `None` (the normal case) builds one per `execute()`
+    /// with the default budgets; tests inject a cache here to observe
+    /// its per-instance statistics.
+    pub cache: Option<Arc<SweepCache>>,
 }
 
 impl InProcessExecutor<'_> {
@@ -79,10 +79,7 @@ impl InProcessExecutor<'_> {
         let combos = plan.shard_cells(self.shard);
         // One cache per execution, shared by every worker thread (and
         // both sides of every classifier fit).
-        let plane_cache = self
-            .plane_cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(PlaneCache::new(plane::BUDGET_BYTES)));
+        let cache = self.cache.clone().unwrap_or_default();
 
         let mut done: HashMap<CellKey, SweepCell> = HashMap::new();
         let writer = match &self.checkpoint {
@@ -116,7 +113,7 @@ impl InProcessExecutor<'_> {
                     let cell = run_cell_resilient(
                         self.ctx,
                         config,
-                        &plane_cache,
+                        &cache,
                         key.model,
                         key.t,
                         key.h,
@@ -190,7 +187,7 @@ fn attempt_seed(seed: u64, attempt: u32) -> u64 {
 fn run_cell_resilient(
     ctx: &ForecastContext,
     config: &SweepConfig,
-    plane_cache: &Arc<PlaneCache>,
+    cache: &Arc<SweepCache>,
     model: ModelSpec,
     t: usize,
     h: usize,
@@ -207,7 +204,7 @@ fn run_cell_resilient(
             .cell_deadline_ms
             .map(|ms| CancelToken::with_deadline(Duration::from_millis(ms)));
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            run_cell_once(ctx, config, plane_cache, model, t, h, w, attempts, cancel.as_ref())
+            run_cell_once(ctx, config, cache, model, t, h, w, attempts, cancel.as_ref())
         }));
         let elapsed_ms = started.elapsed().as_millis() as u64;
         match attempt {
@@ -254,7 +251,7 @@ fn run_cell_resilient(
 fn run_cell_once(
     ctx: &ForecastContext,
     config: &SweepConfig,
-    plane_cache: &Arc<PlaneCache>,
+    cache: &Arc<SweepCache>,
     model: ModelSpec,
     t: usize,
     h: usize,
@@ -276,7 +273,7 @@ fn run_cell_once(
             .expect("classifier");
         cc.forest_threads = Some(1); // the sweep already parallelises
         cc.cancel = cancel.cloned();
-        cc.plane_cache = Some(Arc::clone(plane_cache));
+        cc.cache = Some(Arc::clone(cache));
         fit_and_forecast(ctx, &spec, &cc).map(|f| f.predictions)
     } else {
         model.forecast(ctx, &spec, config.n_trees, config.train_days, seed, config.split)
@@ -349,7 +346,7 @@ mod tests {
             config: &other,
             shard: ShardSpec::FULL,
             checkpoint: None,
-            plane_cache: None,
+            cache: None,
         };
         let err = exec.execute(&plan).unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");

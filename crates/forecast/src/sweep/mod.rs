@@ -427,7 +427,7 @@ pub fn run_sweep_resumable(
         config,
         shard: ShardSpec::FULL,
         checkpoint: checkpoint.map(Path::to_path_buf),
-        plane_cache: None,
+        cache: None,
     };
     Ok(SweepResult::from_cells(executor.execute(&plan)?))
 }

@@ -5,13 +5,18 @@
 //! feature — `O(n log n · k)` per node. Binning replaces the sort with
 //! an `O(n · d)` histogram accumulation over precomputed bin codes:
 //!
-//! * a [`BinnedDataset`] is built **once per fit** (once per *forest*,
-//!   shared read-only across all trees): per-feature quantile bin
-//!   edges plus `u8`/`u16` bin codes stored column-major so the
-//!   per-feature accumulation loop scans contiguous memory. The build
-//!   is a sort-once kernel — tiled transpose, one packed-`u64` sort
-//!   per column, then cuts and codes from linear walks of the sorted
-//!   column — and often costs more than growing the forest on it;
+//! * a [`BinnedDataset`] is the view one fit searches (shared
+//!   read-only by every tree of a forest): per-feature quantile bin
+//!   edges plus `u8`/`u16` bin codes, one [`BinnedColumn`] per feature
+//!   so the per-feature accumulation loop scans contiguous memory.
+//!   Columns are quantised by a sort-once kernel
+//!   ([`BinnedColumn::quantise`]: tiled transpose, one packed-`u64`
+//!   sort per column, then cuts and codes from linear walks of the
+//!   sorted column), which often costs more than growing the forest.
+//!   A column depends only on its values in row order, so views share
+//!   columns through `Arc`s: a fit may be handed a view put together
+//!   from columns quantised for other fits' training sets (as the
+//!   sweep's column store does) and quantise only the rest;
 //! * a [`NodeHistogram`] accumulates a `(bin × {a, b})` pair table for
 //!   one node — `(weight, positive_weight)` for classification trees,
 //!   `(gradient, hessian)` for GBDT — and split search walks bins
@@ -28,6 +33,7 @@
 
 use crate::dataset::Dataset;
 use hotspot_obs as obs;
+use std::sync::Arc;
 
 /// How a tree searches for split points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,6 +57,17 @@ impl SplitStrategy {
     pub fn histogram() -> Self {
         SplitStrategy::Histogram { max_bins: Self::DEFAULT_MAX_BINS }
     }
+
+    /// The one "bin for this fit?" rule: the bin cap a fit on `n_rows`
+    /// rows quantises its features with, or `None` when it searches
+    /// exactly — under [`SplitStrategy::Exact`], and when even the root
+    /// is too small for a histogram ([`HIST_MIN_NODE_ROWS`]).
+    pub fn bins_for(self, n_rows: usize) -> Option<u16> {
+        match self {
+            SplitStrategy::Histogram { max_bins } if n_rows >= HIST_MIN_NODE_ROWS => Some(max_bins),
+            _ => None,
+        }
+    }
 }
 
 impl Default for SplitStrategy {
@@ -65,101 +82,160 @@ impl Default for SplitStrategy {
 /// can hold alive.
 pub const HIST_MIN_NODE_ROWS: usize = 32;
 
-/// Bin codes, `u8` when every feature fits in 256 bins (the default
-/// `max_bins = 255` always does), `u16` otherwise.
+/// One column's bin codes: `u8` when the column has at most 256 bins
+/// (the default `max_bins = 255` always does), `u16` otherwise.
 #[derive(Debug, Clone)]
 enum Codes {
     U8(Vec<u8>),
     U16(Vec<u16>),
 }
 
-/// Quantile-binned view of a [`Dataset`]'s features, built once per
-/// fit and shared read-only across all trees of a forest.
+/// One quantised feature column: the cuts between its bins and every
+/// row's bin code.
 ///
-/// Labels and weights stay on the `Dataset`; the binned view carries
-/// only feature structure, so one instance serves every bootstrap
-/// resample (resamples are row-index multisets into the same rows).
+/// A column is a function of its values in row order and `max_bins`
+/// alone, so one column serves every dataset that holds those values
+/// in that order; [`BinnedDataset`]s share columns through `Arc`s.
 #[derive(Debug, Clone)]
-pub struct BinnedDataset {
-    n_rows: usize,
-    n_features: usize,
-    /// `offsets[f]..offsets[f + 1]` is feature `f`'s bin range in any
-    /// histogram laid out against this dataset.
-    offsets: Vec<usize>,
-    /// Per feature: the raw-value cut between bin `j` and `j + 1`
-    /// (length `n_bins(f) - 1`). Cuts are midpoints between adjacent
-    /// represented values, so `value <= cut[j]` ⇔ `code <= j`.
-    cuts: Vec<Vec<f64>>,
-    /// Column-major bin codes: feature `f`, row `i` at `f * n_rows + i`.
+pub struct BinnedColumn {
+    /// The raw-value cut between bin `j` and `j + 1` (length
+    /// `n_bins - 1`). Cuts are midpoints between adjacent represented
+    /// values, so `value <= cuts[j]` ⇔ `code <= j`.
+    cuts: Vec<f64>,
     codes: Codes,
 }
 
-impl BinnedDataset {
-    /// Bin every feature of `data` into at most `max_bins` quantile
-    /// bins (`max_bins` is clamped to ≥ 2). Paid once per fit.
+impl BinnedColumn {
+    /// Bins in this column.
+    pub fn n_bins(&self) -> usize {
+        self.cuts.len() + 1
+    }
+
+    /// Rows the codes cover.
+    pub fn n_rows(&self) -> usize {
+        match &self.codes {
+            Codes::U8(v) => v.len(),
+            Codes::U16(v) => v.len(),
+        }
+    }
+
+    /// Heap bytes held by the cuts and codes.
+    pub fn bytes(&self) -> usize {
+        let codes = match &self.codes {
+            Codes::U8(v) => v.len(),
+            Codes::U16(v) => 2 * v.len(),
+        };
+        codes + std::mem::size_of_val(self.cuts.as_slice())
+    }
+
+    /// Quantise the listed `features` of `data` into at most `max_bins`
+    /// quantile bins each (`max_bins` is clamped to ≥ 2), one column
+    /// per listed feature, in list order.
     ///
-    /// Cost: one `O(n · d)` tiled transpose, then per feature one
+    /// This is the sort-once kernel. Cost: one `O(n · k)` tiled
+    /// transpose of the `k` listed features, then per feature one
     /// primitive `u64` sort of packed `(value key, row)` words
     /// (`O(n log n)`), and two linear passes over the sorted column —
     /// one for the cuts, one assigning every row its code. The output
-    /// is a function of each column's sorted multiset only, so it is
-    /// the same whatever order equal values sort in (DESIGN.md §9).
-    pub fn build(data: &Dataset, max_bins: u16) -> Self {
-        let _span = obs::span!("trees.bin");
+    /// is a function of each column's values only, so it is the same
+    /// whatever order equal values sort in (DESIGN.md §9). Adds the
+    /// columns it quantised to the `bins.columns_quantised` counter.
+    pub fn quantise(data: &Dataset, max_bins: u16, features: &[usize]) -> Vec<Arc<Self>> {
         let n = data.n_samples();
-        let d = data.n_features();
         let max_bins = usize::from(max_bins.max(2));
         // Low bits of a packed sort word hold the row index.
         let row_bits = usize::BITS - n.saturating_sub(1).leading_zeros();
         let row_mask = (1u64 << row_bits) - 1;
-        let mut offsets = Vec::with_capacity(d + 1);
-        let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
-        offsets.push(0usize);
-        let mut codes = if max_bins <= usize::from(u8::MAX) + 1 {
-            Codes::U8(vec![0; n * d])
-        } else {
-            Codes::U16(vec![0; n * d])
-        };
-        let mut tile: Vec<u64> = Vec::with_capacity(n * TILE_FEATURES.min(d));
+        let mut columns = Vec::with_capacity(features.len());
+        let mut tile: Vec<u64> = Vec::with_capacity(n * TILE_FEATURES.min(features.len()));
         let mut order: Vec<u64> = Vec::with_capacity(n);
         let mut sorted: Vec<f64> = Vec::with_capacity(n);
-        for f0 in (0..d).step_by(TILE_FEATURES) {
-            let f1 = (f0 + TILE_FEATURES).min(d);
+        for block in features.chunks(TILE_FEATURES) {
             // Transpose a block of features into contiguous key columns.
             tile.clear();
-            tile.resize(n * (f1 - f0), 0);
+            tile.resize(n * block.len(), 0);
             for i in 0..n {
-                for (b, &v) in data.row(i)[f0..f1].iter().enumerate() {
-                    tile[b * n + i] = order_key(v);
+                let row = data.row(i);
+                for (b, &f) in block.iter().enumerate() {
+                    tile[b * n + i] = order_key(row[f]);
                 }
             }
-            for f in f0..f1 {
-                let keys = &tile[(f - f0) * n..(f - f0 + 1) * n];
+            for b in 0..block.len() {
+                let keys = &tile[b * n..(b + 1) * n];
                 sort_rows(keys, row_mask, &mut order);
                 sorted.clear();
                 sorted.extend(order.iter().map(|&row| from_order_key(keys[row as usize])));
-                let feature = feature_cuts(&sorted, max_bins);
-                let column = f * n..(f + 1) * n;
-                match &mut codes {
-                    Codes::U8(v) => {
-                        assign_codes(&order, &sorted, &feature, &mut v[column], |c| c as u8)
-                    }
-                    Codes::U16(v) => {
-                        assign_codes(&order, &sorted, &feature, &mut v[column], |c| c as u16)
-                    }
-                }
-                offsets.push(offsets[f] + feature.len() + 1);
-                cuts.push(feature);
+                let cuts = feature_cuts(&sorted, max_bins);
+                let codes = if cuts.len() <= usize::from(u8::MAX) {
+                    Codes::U8(assign_codes(&order, &sorted, &cuts, |c| c as u8))
+                } else {
+                    Codes::U16(assign_codes(&order, &sorted, &cuts, |c| c as u16))
+                };
+                columns.push(Arc::new(BinnedColumn { cuts, codes }));
             }
         }
-        // Wide `max_bins` still stores `u8` codes when no feature needs more.
-        let widest = (0..d).map(|f| offsets[f + 1] - offsets[f]).max().unwrap_or(1);
-        if let Codes::U16(v) = &codes {
-            if widest <= usize::from(u8::MAX) + 1 {
-                codes = Codes::U8(v.iter().map(|&c| c as u8).collect());
-            }
+        obs::counter("bins.columns_quantised").add(features.len() as u64);
+        columns
+    }
+
+    #[inline]
+    fn code(&self, row: usize) -> usize {
+        match &self.codes {
+            Codes::U8(v) => usize::from(v[row]),
+            Codes::U16(v) => usize::from(v[row]),
         }
-        let binned = BinnedDataset { n_rows: n, n_features: d, offsets, cuts, codes };
+    }
+}
+
+/// Quantile-binned view of a [`Dataset`]'s features, shared read-only
+/// across all trees of a forest (and all rounds of a booster).
+///
+/// Labels and weights stay on the `Dataset`; the binned view carries
+/// only feature structure, so one instance serves every bootstrap
+/// resample (resamples are row-index multisets into the same rows).
+/// Its columns are shared [`BinnedColumn`]s, so a view can be put
+/// together from columns quantised for other datasets.
+#[derive(Debug, Clone)]
+pub struct BinnedDataset {
+    n_rows: usize,
+    /// `offsets[f]..offsets[f + 1]` is feature `f`'s bin range in any
+    /// histogram laid out against this dataset.
+    offsets: Vec<usize>,
+    columns: Vec<Arc<BinnedColumn>>,
+}
+
+impl BinnedDataset {
+    /// The view a fit with `split` on `data` searches with: every
+    /// feature quantised under [`SplitStrategy::bins_for`], or `None`
+    /// when the fit searches exactly.
+    pub fn for_fit(data: &Dataset, split: SplitStrategy) -> Option<Self> {
+        split.bins_for(data.n_samples()).map(|max_bins| Self::build(data, max_bins))
+    }
+
+    /// Bin every feature of `data` into at most `max_bins` quantile
+    /// bins (`max_bins` is clamped to ≥ 2) with the
+    /// [`BinnedColumn::quantise`] kernel.
+    pub fn build(data: &Dataset, max_bins: u16) -> Self {
+        let _span = obs::span!("trees.bin");
+        let all: Vec<usize> = (0..data.n_features()).collect();
+        Self::from_columns(data.n_samples(), BinnedColumn::quantise(data, max_bins, &all))
+    }
+
+    /// A view over already-quantised columns, feature `f` being
+    /// `columns[f]`. Adds the view's bins to the `trees.bins_built`
+    /// counter, which therefore counts the bins of every view a fit
+    /// searches, however its columns were obtained.
+    ///
+    /// # Panics
+    /// Panics when a column does not cover exactly `n_rows` rows.
+    pub fn from_columns(n_rows: usize, columns: Vec<Arc<BinnedColumn>>) -> Self {
+        let mut offsets = Vec::with_capacity(columns.len() + 1);
+        offsets.push(0);
+        for column in &columns {
+            assert_eq!(column.n_rows(), n_rows, "binned column row mismatch");
+            offsets.push(offsets[offsets.len() - 1] + column.n_bins());
+        }
+        let binned = BinnedDataset { n_rows, offsets, columns };
         obs::counter("trees.bins_built").add(binned.total_bins() as u64);
         binned
     }
@@ -171,7 +247,7 @@ impl BinnedDataset {
 
     /// Number of binned features.
     pub fn n_features(&self) -> usize {
-        self.n_features
+        self.columns.len()
     }
 
     /// Bins allocated to feature `f`.
@@ -186,22 +262,19 @@ impl BinnedDataset {
 
     /// The raw-value cut separating feature `f`'s bin `j` from `j + 1`.
     pub fn cut(&self, f: usize, j: usize) -> f64 {
-        self.cuts[f][j]
+        self.columns[f].cuts[j]
     }
 
     /// Bin code of `(row, feature)`.
     #[inline]
     pub fn code(&self, row: usize, f: usize) -> usize {
-        match &self.codes {
-            Codes::U8(v) => v[f * self.n_rows + row] as usize,
-            Codes::U16(v) => v[f * self.n_rows + row] as usize,
-        }
+        self.columns[f].code(row)
     }
 
     /// The index `j` such that `cut(f, j) == threshold`, for a
     /// threshold produced by a histogram split on this view.
     pub fn cut_index(&self, f: usize, threshold: f64) -> usize {
-        self.cuts[f].partition_point(|&c| c < threshold)
+        self.columns[f].cuts.partition_point(|&c| c < threshold)
     }
 
     /// Partition a node's rows on `code(·, f) <= bin` — equivalent to
@@ -213,16 +286,9 @@ impl BinnedDataset {
         bin: usize,
         indices: Vec<usize>,
     ) -> (Vec<usize>, Vec<usize>) {
-        let n = self.n_rows;
-        match &self.codes {
-            Codes::U8(v) => {
-                let col = &v[f * n..(f + 1) * n];
-                indices.into_iter().partition(|&i| usize::from(col[i]) <= bin)
-            }
-            Codes::U16(v) => {
-                let col = &v[f * n..(f + 1) * n];
-                indices.into_iter().partition(|&i| usize::from(col[i]) <= bin)
-            }
+        match &self.columns[f].codes {
+            Codes::U8(col) => indices.into_iter().partition(|&i| usize::from(col[i]) <= bin),
+            Codes::U16(col) => indices.into_iter().partition(|&i| usize::from(col[i]) <= bin),
         }
     }
 
@@ -246,18 +312,15 @@ impl BinnedDataset {
     ) {
         debug_assert_eq!(indices.len(), a.len());
         debug_assert_eq!(indices.len(), b.len());
-        let n = self.n_rows;
-        match &self.codes {
-            Codes::U8(codes) => {
-                let col = &codes[f * n..(f + 1) * n];
+        match &self.columns[f].codes {
+            Codes::U8(col) => {
                 for (j, &i) in indices.iter().enumerate() {
                     let cell = &mut bins[col[i] as usize];
                     cell.0 += a[j];
                     cell.1 += b[j];
                 }
             }
-            Codes::U16(codes) => {
-                let col = &codes[f * n..(f + 1) * n];
+            Codes::U16(col) => {
                 for (j, &i) in indices.iter().enumerate() {
                     let cell = &mut bins[col[i] as usize];
                     cell.0 += a[j];
@@ -312,17 +375,17 @@ fn sort_rows(keys: &[u64], row_mask: u64, order: &mut Vec<u64>) {
     }
 }
 
-/// Write each row's bin code in one walk of the sorted column: the
-/// code is the number of cuts below the value, i.e.
+/// Every row's bin code, from one walk of the sorted column: the code
+/// is the number of cuts below the value, i.e.
 /// `cuts.partition_point(|&c| c < v)` (the cuts ascend, so the count
 /// only grows along the walk).
-fn assign_codes<C>(
+fn assign_codes<C: Copy + Default>(
     rows: &[u64],
     sorted: &[f64],
     cuts: &[f64],
-    out: &mut [C],
     code: impl Fn(usize) -> C,
-) {
+) -> Vec<C> {
+    let mut out = vec![C::default(); rows.len()];
     let mut bin = 0;
     for (&row, &v) in rows.iter().zip(sorted) {
         while bin < cuts.len() && cuts[bin] < v {
@@ -330,6 +393,7 @@ fn assign_codes<C>(
         }
         out[row as usize] = code(bin);
     }
+    out
 }
 
 /// Cut points for one sorted feature column: one bin per distinct
@@ -387,20 +451,17 @@ impl NodeHistogram {
     /// Accumulate the node's rows: for every feature, add `(a[i],
     /// b[i])` into the row's bin. `O(indices.len() · d)`, no sorting.
     pub fn accumulate(&mut self, binned: &BinnedDataset, indices: &[usize], a: &[f64], b: &[f64]) {
-        let n = binned.n_rows;
-        for f in 0..binned.n_features {
+        for (f, column) in binned.columns.iter().enumerate() {
             let bins = &mut self.bins[binned.offsets[f]..binned.offsets[f + 1]];
-            match &binned.codes {
-                Codes::U8(codes) => {
-                    let col = &codes[f * n..(f + 1) * n];
+            match &column.codes {
+                Codes::U8(col) => {
                     for &i in indices {
                         let cell = &mut bins[col[i] as usize];
                         cell.0 += a[i];
                         cell.1 += b[i];
                     }
                 }
-                Codes::U16(codes) => {
-                    let col = &codes[f * n..(f + 1) * n];
+                Codes::U16(col) => {
                     for &i in indices {
                         let cell = &mut bins[col[i] as usize];
                         cell.0 += a[i];
@@ -468,40 +529,23 @@ mod tests {
     /// then a binary search over the cuts per value.
     fn two_pass_build(data: &Dataset, max_bins: u16) -> BinnedDataset {
         let n = data.n_samples();
-        let d = data.n_features();
         let max_bins = max_bins.max(2) as usize;
-        let mut offsets = vec![0usize];
-        let mut cuts: Vec<Vec<f64>> = Vec::with_capacity(d);
+        let mut columns = Vec::with_capacity(data.n_features());
         let mut column: Vec<f64> = Vec::with_capacity(n);
-        for f in 0..d {
+        for f in 0..data.n_features() {
             column.clear();
             column.extend((0..n).map(|i| data.feature(i, f)));
             column.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite features"));
-            cuts.push(two_pass_cuts(&column, max_bins));
-            offsets.push(offsets[f] + cuts[f].len() + 1);
-        }
-        let widest = (0..d).map(|f| cuts[f].len() + 1).max().unwrap_or(1);
-        let mut binned = BinnedDataset {
-            n_rows: n,
-            n_features: d,
-            offsets,
-            cuts,
-            codes: if widest <= usize::from(u8::MAX) + 1 {
-                Codes::U8(vec![0; n * d])
+            let cuts = two_pass_cuts(&column, max_bins);
+            let code = |i: usize| cuts.partition_point(|&c| c < data.feature(i, f));
+            let codes = if cuts.len() < 256 {
+                Codes::U8((0..n).map(|i| code(i) as u8).collect())
             } else {
-                Codes::U16(vec![0; n * d])
-            },
-        };
-        for f in 0..d {
-            for i in 0..n {
-                let code = binned.cuts[f].partition_point(|&c| c < data.feature(i, f));
-                match &mut binned.codes {
-                    Codes::U8(v) => v[f * n + i] = code as u8,
-                    Codes::U16(v) => v[f * n + i] = code as u16,
-                }
-            }
+                Codes::U16((0..n).map(|i| code(i) as u16).collect())
+            };
+            columns.push(Arc::new(BinnedColumn { cuts, codes }));
         }
-        binned
+        BinnedDataset::from_columns(n, columns)
     }
 
     fn two_pass_cuts(sorted: &[f64], max_bins: usize) -> Vec<f64> {
@@ -567,7 +611,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
         /// The sort-once kernel reproduces the two-pass build bit for
-        /// bit: offsets, cuts (`to_bits`), code width and every code.
+        /// bit: offsets, cuts (`to_bits`), each column's code width and
+        /// every code.
         #[test]
         fn kernel_matches_two_pass_oracle(seed in any::<u64>()) {
             for n in [1usize, 2, 255, 256, 257, 4097] {
@@ -578,7 +623,7 @@ mod tests {
                     prop_assert_eq!(&got.offsets, &want.offsets, "n={} max_bins={}", n, max_bins);
                     for f in 0..data.n_features() {
                         let bits = |b: &BinnedDataset| -> Vec<u64> {
-                            b.cuts[f].iter().map(|c| c.to_bits()).collect()
+                            b.columns[f].cuts.iter().map(|c| c.to_bits()).collect()
                         };
                         let at = format!("f={f} n={n} max_bins={max_bins}");
                         prop_assert_eq!(bits(&got), bits(&want), "cuts {}", at);
@@ -586,12 +631,12 @@ mod tests {
                             (0..n).map(|i| b.code(i, f)).collect()
                         };
                         prop_assert_eq!(codes(&got), codes(&want), "codes {}", at);
+                        let same_width = matches!(
+                            (&got.columns[f].codes, &want.columns[f].codes),
+                            (Codes::U8(_), Codes::U8(_)) | (Codes::U16(_), Codes::U16(_))
+                        );
+                        prop_assert!(same_width, "code width {}", at);
                     }
-                    let same_width = matches!(
-                        (&got.codes, &want.codes),
-                        (Codes::U8(_), Codes::U8(_)) | (Codes::U16(_), Codes::U16(_))
-                    );
-                    prop_assert!(same_width, "code width n={} max_bins={}", n, max_bins);
                 }
             }
         }
@@ -689,6 +734,32 @@ mod tests {
         let b = BinnedDataset::build(&d, 600);
         assert_eq!(b.n_bins(0), 600);
         assert_eq!(b.code(599, 0), 599); // needs u16
+    }
+
+    #[test]
+    fn code_width_is_chosen_per_column() {
+        let values: Vec<f64> = (0..600).flat_map(|i| [i as f64, (i % 3) as f64]).collect();
+        let b = BinnedDataset::build(&data(values, 2), 600);
+        assert!(matches!(b.columns[0].codes, Codes::U16(_)));
+        assert!(matches!(b.columns[1].codes, Codes::U8(_)), "3 bins fit u8");
+    }
+
+    #[test]
+    fn quantising_a_subset_gives_the_full_build_columns() {
+        let d = adversarial(300, 11);
+        let full = BinnedDataset::build(&d, 16);
+        let picked = [5, 0, 3];
+        let subset = BinnedColumn::quantise(&d, 16, &picked);
+        for (column, &f) in subset.iter().zip(&picked) {
+            let bits = |c: &BinnedColumn| c.cuts.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(column), bits(&full.columns[f]), "cuts of feature {f}");
+            let codes = (0..300).map(|i| column.code(i)).collect::<Vec<_>>();
+            assert_eq!(codes, (0..300).map(|i| full.code(i, f)).collect::<Vec<_>>());
+        }
+        // A view put together from shared columns is the same view.
+        let view = BinnedDataset::from_columns(300, full.columns.clone());
+        assert_eq!(view.offsets, full.offsets);
+        assert!(view.columns.iter().zip(&full.columns).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

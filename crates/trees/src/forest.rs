@@ -6,7 +6,7 @@
 //! probabilities (the soft-voting variant scikit-learn implements).
 //! Trees are fit in parallel on scoped threads.
 
-use crate::binned::{BinnedDataset, SplitStrategy, HIST_MIN_NODE_ROWS};
+use crate::binned::{BinnedDataset, SplitStrategy};
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, TreeParams};
@@ -91,16 +91,29 @@ pub struct RandomForest {
 
 impl RandomForest {
     /// Fit the ensemble. Weights on `data` are respected (bootstrap
-    /// resampling keeps each drawn sample's weight).
-    ///
-    /// Under [`SplitStrategy::Histogram`] the features are binned
-    /// *once* here and the read-only [`BinnedDataset`] is shared by
-    /// every tree — bootstrap resamples are row-index multisets into
-    /// the same rows, so no per-tree re-binning is needed.
+    /// resampling keeps each drawn sample's weight). Under
+    /// [`SplitStrategy::bins_for`] the features are binned once here.
     ///
     /// # Panics
     /// Panics on an empty dataset or zero trees.
     pub fn fit(data: &Dataset, params: &RandomForestParams) -> Self {
+        let binned = BinnedDataset::for_fit(data, params.tree.split);
+        Self::fit_binned(data, binned.as_ref(), params)
+    }
+
+    /// Fit the ensemble over a prebuilt binned view (`None`: exact
+    /// search). The read-only view is shared by every tree — bootstrap
+    /// resamples are row-index multisets into the same rows, so no
+    /// per-tree re-binning is needed.
+    ///
+    /// # Panics
+    /// Panics on an empty dataset, zero trees, or a `binned` view whose
+    /// shape does not match `data`.
+    pub fn fit_binned(
+        data: &Dataset,
+        binned: Option<&BinnedDataset>,
+        params: &RandomForestParams,
+    ) -> Self {
         let _span = obs::span!("forest.fit");
         assert!(params.n_trees > 0, "forest needs at least one tree");
         assert!(data.n_samples() > 0, "cannot fit on an empty dataset");
@@ -110,13 +123,6 @@ impl RandomForest {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             })
             .clamp(1, params.n_trees);
-        let binned = match params.tree.split {
-            SplitStrategy::Histogram { max_bins } if data.n_samples() >= HIST_MIN_NODE_ROWS => {
-                Some(BinnedDataset::build(data, max_bins))
-            }
-            _ => None,
-        };
-        let binned = binned.as_ref();
 
         let mut trees: Vec<Option<DecisionTree>> = vec![None; params.n_trees];
         let chunk = params.n_trees.div_ceil(threads);

@@ -266,13 +266,35 @@ pub struct GradientBoosting {
 
 impl GradientBoosting {
     /// Fit the booster on a binary dataset (sample weights scale the
-    /// gradients/hessians).
+    /// gradients/hessians), binning its features under
+    /// [`SplitStrategy::bins_for`] first.
     ///
     /// # Panics
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, params: &GradientBoostingParams) -> Self {
+        let binned = BinnedDataset::for_fit(data, params.split);
+        Self::fit_binned(data, binned.as_ref(), params)
+    }
+
+    /// Fit the booster over a prebuilt binned view (`None`: exact
+    /// search). Features are fixed across rounds, so one view serves
+    /// them all; only the gradients/hessians poured into its bins
+    /// change.
+    ///
+    /// # Panics
+    /// Panics on an empty dataset or a `binned` view whose shape does
+    /// not match `data`.
+    pub fn fit_binned(
+        data: &Dataset,
+        binned: Option<&BinnedDataset>,
+        params: &GradientBoostingParams,
+    ) -> Self {
         let _span = obs::span!("gbdt.fit");
         assert!(data.n_samples() > 0, "cannot fit on an empty dataset");
+        if let Some(b) = binned {
+            assert_eq!(b.n_rows(), data.n_samples(), "binned view row mismatch");
+            assert_eq!(b.n_features(), data.n_features(), "binned view feature mismatch");
+        }
         let n = data.n_samples();
         // Base score = log-odds of the weighted prevalence.
         let all: Vec<usize> = (0..n).collect();
@@ -284,14 +306,6 @@ impl GradientBoosting {
         let mut hess = vec![0.0; n];
         let mut trees = Vec::with_capacity(params.n_rounds);
         let mut rng = StdRng::seed_from_u64(params.seed);
-        // Bin once for the whole fit: features are fixed across rounds,
-        // only the gradients/hessians poured into the bins change.
-        let binned = match params.split {
-            SplitStrategy::Histogram { max_bins } if n >= HIST_MIN_NODE_ROWS => {
-                Some(BinnedDataset::build(data, max_bins))
-            }
-            _ => None,
-        };
         let mut pool = HistPool::new();
 
         for _round in 0..params.n_rounds {
@@ -310,7 +324,7 @@ impl GradientBoosting {
                 grad: &grad,
                 hess: &hess,
                 params,
-                binned: binned.as_ref(),
+                binned,
                 pool: &mut pool,
                 nodes: Vec::new(),
             };

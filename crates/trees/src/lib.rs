@@ -28,7 +28,7 @@ pub mod gbdt;
 pub mod split;
 pub mod tree;
 
-pub use binned::{BinnedDataset, SplitStrategy};
+pub use binned::{BinnedColumn, BinnedDataset, SplitStrategy};
 pub use cancel::CancelToken;
 pub use dataset::Dataset;
 pub use describe::SplitDescription;

@@ -124,25 +124,29 @@ pub struct DecisionTree {
 
 impl DecisionTree {
     /// Fit a tree on the dataset (weights are used as-is; call
-    /// [`Dataset::balance_weights`] first for the paper's setup).
-    ///
-    /// Under [`SplitStrategy::Histogram`] the features are binned once
-    /// here; forests share one binned view across all their trees via
-    /// [`DecisionTree::fit_with_shared`] instead.
+    /// [`Dataset::balance_weights`] first for the paper's setup),
+    /// binning its features under [`SplitStrategy::bins_for`] first.
     ///
     /// # Panics
     /// Panics on an empty dataset.
     pub fn fit(data: &Dataset, params: &TreeParams) -> Self {
+        let binned = BinnedDataset::for_fit(data, params.split);
+        Self::fit_binned(data, binned.as_ref(), params)
+    }
+
+    /// Fit a tree on every row of `data` over a prebuilt binned view
+    /// (`None`: exact search), e.g. one put together from shared
+    /// columns. Histogram search is used exactly when `binned` is
+    /// provided.
+    ///
+    /// # Panics
+    /// Panics on an empty dataset or a `binned` view whose shape does
+    /// not match `data`.
+    pub fn fit_binned(data: &Dataset, binned: Option<&BinnedDataset>, params: &TreeParams) -> Self {
         let _span = obs::span!("tree.fit");
         assert!(data.n_samples() > 0, "cannot fit on an empty dataset");
-        let binned = match params.split {
-            SplitStrategy::Histogram { max_bins } if data.n_samples() >= HIST_MIN_NODE_ROWS => {
-                Some(BinnedDataset::build(data, max_bins))
-            }
-            _ => None,
-        };
         let root: Vec<usize> = (0..data.n_samples()).collect();
-        Self::fit_with_shared(data, binned.as_ref(), root, params)
+        Self::fit_with_shared(data, binned, root, params)
     }
 
     /// Fit a tree on a row-index multiset of `data` (e.g. a bootstrap

@@ -10,11 +10,11 @@ use hotspot::analysis::hourly::busiest_hour_window;
 use hotspot::core::ScorePipeline;
 use hotspot::eval::calibration::{brier_score, reliability_curve};
 use hotspot::features::builders::{DailyPercentiles, FeatureBuilder};
-use hotspot::features::plane::{self, PlaneCache};
 use hotspot::features::tensor_x::feature_name;
 use hotspot::features::windows::WindowSpec;
 use hotspot::forecast::classifier::{fit_and_forecast, ClassifierConfig, ClassifierKind, Representation};
 use hotspot::forecast::context::{ForecastContext, Target};
+use hotspot::forecast::SweepCache;
 use hotspot::nn::imputer::{ForwardFillImputer, Imputer};
 use hotspot::simnet::{NetworkConfig, SyntheticNetwork};
 use hotspot::trees::{Dataset, DecisionTree, TreeParams};
@@ -33,8 +33,8 @@ fn main() {
     let (start, end) = busiest_hour_window(&scored.y_hourly, 4);
     println!("busiest 4-hour window of the day: {start:02}:00-{end:02}:00\n");
 
-    // One feature-plane cache serves this tree and the forests below.
-    let cache = Arc::new(PlaneCache::new(plane::BUDGET_BYTES));
+    // One sweep cache serves this tree and the forests below.
+    let cache = Arc::new(SweepCache::default());
 
     // --- Inspect a single tree, paper-style: which feature does the
     // first split use?
@@ -44,7 +44,7 @@ fn main() {
     let mut labels = Vec::new();
     for d in 0..10usize {
         let t = spec.t - d;
-        let plane = cache.get_or_build(&builder, &ctx.x, t - spec.h, spec.w);
+        let plane = cache.planes.get_or_build(&builder, &ctx.x, t - spec.h, spec.w);
         for i in 0..ctx.n_sectors() {
             let y = ctx.target.get(i, t);
             if y.is_nan() {
@@ -87,7 +87,7 @@ fn main() {
         forest_threads: None,
         cancel: None,
         split: Default::default(),
-        plane_cache: Some(Arc::clone(&cache)),
+        cache: Some(Arc::clone(&cache)),
     };
     let mut all_labels = Vec::new();
     let mut all_probs = Vec::new();

@@ -1,19 +1,19 @@
-//! The feature-plane cache's one hard invariant, end to end: a sweep
-//! is **byte-identical** — same canonical TSV, same health — whatever
-//! its cache holds, for any split strategy, shard topology, or
+//! The sweep cache's one hard invariant, end to end: a sweep is
+//! **byte-identical** — same canonical TSV, same health — whatever its
+//! cache holds, for any split strategy, shard topology, or
 //! checkpoint-resume history. The reference runs use an uncached
-//! sweep in all but name: an injected `PlaneCache::new(1)` keeps no
-//! plane past the next build, so every evicted plane featurises
-//! afresh. The cache may only move wall-clock time, never a number.
+//! sweep in all but name: an injected `SweepCache::with_budgets(1, 1)`
+//! keeps no plane and no quantised lag past the next build, so every
+//! evicted entry is rebuilt afresh. The cache may only move wall-clock
+//! time, never a number.
 //!
-//! All cache-behaviour assertions use an injected
-//! [`PlaneCache`]'s per-instance [`PlaneCache::stats`]; the global
-//! observability counters are shared across this test process and are
-//! never asserted here.
+//! All cache-behaviour assertions use an injected [`SweepCache`]'s
+//! per-instance statistics; the global observability counters are
+//! shared across this test process and are never asserted here.
 
-use hotspot::features::{plane, PlaneCache};
 use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
+use hotspot::forecast::SweepCache;
 use hotspot::forecast::sweep::{
     canonical_tsv, merge_shards, run_sweep, InProcessExecutor, ResiliencePolicy, ShardFiles,
     ShardSpec, SweepConfig, SweepPlan, SweepResult,
@@ -89,7 +89,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// test can read that cache's private stats afterwards.
 fn run_with_cache(
     cfg: &SweepConfig,
-    cache: &Arc<PlaneCache>,
+    cache: &Arc<SweepCache>,
     checkpoint: Option<PathBuf>,
 ) -> SweepResult {
     let plan = SweepPlan::new(cfg);
@@ -98,7 +98,7 @@ fn run_with_cache(
         config: cfg,
         shard: ShardSpec::FULL,
         checkpoint,
-        plane_cache: Some(Arc::clone(cache)),
+        cache: Some(Arc::clone(cache)),
     }
     .execute(&plan)
     .unwrap();
@@ -108,9 +108,9 @@ fn run_with_cache(
 /// The reference sweep: same config, run against a cache that evicts
 /// on every build.
 fn run_evicting(cfg: &SweepConfig) -> SweepResult {
-    let cache = Arc::new(PlaneCache::new(1));
+    let cache = Arc::new(SweepCache::with_budgets(1, 1));
     let result = run_with_cache(cfg, &cache, None);
-    assert!(cache.stats().evictions > 0, "the reference cache must evict");
+    assert!(cache.planes.stats().evictions > 0, "the reference cache must evict");
     result
 }
 
@@ -163,7 +163,7 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
                 config: &cfg,
                 shard,
                 checkpoint: Some(files.checkpoint.clone()),
-                plane_cache: None,
+                cache: None,
             }
             .execute(&plan)
             .unwrap();
@@ -189,28 +189,37 @@ fn resume_and_warm_cache_build_nothing_new() {
     let checkpoint = dir.join("sweep.tsv");
 
     // Fresh run journaling to the checkpoint: planes get built.
-    let warm = Arc::new(PlaneCache::new(plane::BUDGET_BYTES));
+    let warm = Arc::new(SweepCache::default());
     let first = run_with_cache(&cfg, &warm, Some(checkpoint.clone()));
-    let after_first = warm.stats();
+    let after_first = warm.planes.stats();
+    let columns_first = warm.columns.stats();
     assert!(first.health.is_clean());
     assert!(after_first.builds > 0, "a classifier sweep must build planes");
+    assert!(columns_first.columns_quantised > 0, "an RF-F1 sweep must quantise columns");
     assert_eq!(after_first.evictions, 0, "an ample budget must not evict");
+    assert_eq!(columns_first.evictions, 0, "an ample budget must not evict");
 
     // Resume from the complete journal: every cell is adopted, so the
     // cache (a fresh one — nothing warm to serve from) sees no traffic.
-    let idle = Arc::new(PlaneCache::new(plane::BUDGET_BYTES));
+    let idle = Arc::new(SweepCache::default());
     let resumed = run_with_cache(&cfg, &idle, Some(checkpoint.clone()));
-    assert_eq!(idle.stats().builds, 0, "adopted cells must not featurise");
+    assert_eq!(idle.planes.stats().builds, 0, "adopted cells must not featurise");
+    assert_eq!(idle.columns.stats().columns_quantised, 0, "adopted cells must not quantise");
     assert_eq!(resumed.health.resumed, first.cells.len(), "every journaled cell is adopted");
     assert_eq!(tsv(&cfg, &resumed), tsv(&cfg, &first), "resume must reproduce the run");
 
     // Re-execute (no checkpoint) against the warm cache: identical
     // bytes, zero new builds, and the replay is served from cache.
     let replay = run_with_cache(&cfg, &warm, None);
-    let after_replay = warm.stats();
+    let after_replay = warm.planes.stats();
     assert_eq!(
         after_replay.builds, after_first.builds,
         "a warm cache must build nothing new (build-at-most-once)"
+    );
+    assert_eq!(
+        warm.columns.stats().columns_quantised,
+        columns_first.columns_quantised,
+        "a warm store must quantise nothing new"
     );
     assert!(after_replay.hits > after_first.hits, "the replay must hit the cache");
     assert_eq!(tsv(&cfg, &replay), tsv(&cfg, &first), "warm replay must reproduce the run");

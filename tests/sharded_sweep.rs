@@ -76,7 +76,7 @@ fn run_shards(cfg: &SweepConfig, plan: &SweepPlan, base: &Path, n: u64) -> Vec<S
                 config: cfg,
                 shard,
                 checkpoint: Some(files.checkpoint.clone()),
-                plane_cache: None,
+                cache: None,
             };
             executor.execute(plan).unwrap();
             files
@@ -176,7 +176,7 @@ fn killed_worker_resumes_and_remerges_identically() {
         config: &cfg,
         shard,
         checkpoint: Some(victim_files.checkpoint.clone()),
-        plane_cache: None,
+        cache: None,
     };
     let cells = executor.execute(&plan).unwrap();
     assert_eq!(cells.len(), plan.shard_cells(shard).len());
@@ -213,7 +213,7 @@ fn mixed_fingerprint_shards_refuse_to_merge() {
         config: &cfg_a,
         shard: shard0,
         checkpoint: Some(files[0].checkpoint.clone()),
-        plane_cache: None,
+        cache: None,
     }
     .execute(&plan_a)
     .unwrap();
@@ -222,7 +222,7 @@ fn mixed_fingerprint_shards_refuse_to_merge() {
         config: &cfg_b,
         shard: shard1,
         checkpoint: Some(files[1].checkpoint.clone()),
-        plane_cache: None,
+        cache: None,
     }
     .execute(&plan_b)
     .unwrap();
