@@ -14,9 +14,8 @@ use hotspot_forecast::classifier::fit_and_forecast;
 use hotspot_forecast::context::{ForecastContext, Target};
 use hotspot_forecast::models::ModelSpec;
 use hotspot_forecast::sweep::{
-    canonical_tsv, deterministic_projection, merge_shards, run_sweep_resumable,
-    InProcessExecutor, MergedSweep, ResiliencePolicy, ShardFiles, ShardSpec, SweepConfig,
-    SweepPlan, SweepResult, TableIIIGrid,
+    canonical_tsv, deterministic_projection, merge_shards, InProcessExecutor, MergedSweep,
+    ResiliencePolicy, ShardFiles, ShardSpec, SweepConfig, SweepPlan, SweepResult, TableIIIGrid,
 };
 use hotspot_obs as obs;
 use std::path::{Path, PathBuf};
@@ -94,13 +93,14 @@ pub fn sweep_config(
 /// `--shards` / `--shard` / `--merge` options.
 ///
 /// Without `--checkpoint` this is a plain in-memory sweep. With one,
-/// finished cells are journaled as they complete; an existing file is
-/// continued only under `--resume` (otherwise the run aborts rather
+/// finished cells are journaled as they complete; an existing journal
+/// is continued only under `--resume` (otherwise the run aborts rather
 /// than silently mixing checkpoints). Non-clean sweep health is always
 /// surfaced on stderr so partial results never pass unnoticed.
 ///
-/// Sharded modes (the checkpoint path becomes the shard-file base,
-/// per [`ShardFiles::for_base`]):
+/// The checkpoint path is the shard-file base, per
+/// [`ShardFiles::for_base`], which maps the unsharded whole to the
+/// base itself:
 ///
 /// * `--shard I` (worker): compute only shard `I` of `--shards`,
 ///   journaling to the shard-derived checkpoint; the returned
@@ -117,17 +117,7 @@ pub fn run_sweep_with_options(
     config: &SweepConfig,
     opts: &RunOptions,
 ) -> SweepResult {
-    let finish = |result: SweepResult| -> SweepResult {
-        obs::set_annotation("sweep_health", &result.health.summary());
-        if !result.health.is_clean() || result.health.resumed > 0 {
-            obs::warn!("sweep health: {}", result.health.summary());
-        } else {
-            obs::debug!("sweep health: {}", result.health.summary());
-        }
-        result
-    };
-
-    if opts.merge {
+    let result = if opts.merge {
         let base = opts.checkpoint.as_deref().expect("parse() enforces --checkpoint");
         let plan = SweepPlan::new(config);
         let files: Vec<ShardFiles> = (0..opts.shards)
@@ -145,55 +135,40 @@ pub fn run_sweep_with_options(
             merged.fingerprint
         );
         write_merged_artifacts(base, &plan, &merged);
-        return finish(merged.result);
-    }
-
-    if let Some(index) = opts.shard {
-        let base = opts.checkpoint.as_deref().expect("parse() enforces --checkpoint");
-        let shard = ShardSpec { index, count: opts.shards };
-        let files = ShardFiles::for_base(base, shard);
-        if files.checkpoint.exists() && !opts.resume {
-            obs::error!(
-                "shard checkpoint {} already exists; pass --resume to continue it or delete it first",
-                files.checkpoint.display()
-            );
-            std::process::exit(2);
-        }
-        let plan = SweepPlan::new(config);
-        let executor = InProcessExecutor {
-            ctx,
-            config,
-            shard,
-            checkpoint: Some(files.checkpoint),
-            cache: None,
-        };
-        let cells = executor.execute(&plan).unwrap_or_else(|e| {
-            obs::error!("sweep shard {shard} error: {e}");
-            std::process::exit(2);
-        });
-        print_section(&format!(
-            "partial: shard {shard} ran {} of {} plan cells; combine the shards with --merge",
-            cells.len(),
-            plan.n_cells()
-        ));
-        return finish(SweepResult::from_cells(cells));
-    }
-
-    if let Some(path) = &opts.checkpoint {
-        if path.exists() && !opts.resume {
+        merged.result
+    } else {
+        let shard =
+            opts.shard.map_or(ShardSpec::FULL, |index| ShardSpec { index, count: opts.shards });
+        let checkpoint =
+            opts.checkpoint.as_deref().map(|base| ShardFiles::for_base(base, shard).checkpoint);
+        if let Some(path) = checkpoint.as_deref().filter(|p| p.exists() && !opts.resume) {
             obs::error!(
                 "checkpoint {} already exists; pass --resume to continue it or delete it first",
                 path.display()
             );
             std::process::exit(2);
         }
-    }
-    let result = run_sweep_resumable(ctx, config, opts.checkpoint.as_deref())
-        .unwrap_or_else(|e| {
+        let executor = InProcessExecutor { ctx, config, shard, checkpoint, cache: None };
+        let result = executor.execute().unwrap_or_else(|e| {
             obs::error!("sweep checkpoint error: {e}");
             std::process::exit(2);
         });
-    finish(result)
+        if opts.shard.is_some() {
+            print_section(&format!(
+                "partial: shard {shard} ran {} of {} plan cells; combine the shards with --merge",
+                result.cells.len(),
+                SweepPlan::new(config).n_cells()
+            ));
+        }
+        result
+    };
+    obs::set_annotation("sweep_health", &result.health.summary());
+    if !result.health.is_clean() || result.health.resumed > 0 {
+        obs::warn!("sweep health: {}", result.health.summary());
+    } else {
+        obs::debug!("sweep health: {}", result.health.summary());
+    }
+    result
 }
 
 /// Write the collector's deterministic artifacts next to `base`:

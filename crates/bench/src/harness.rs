@@ -103,7 +103,7 @@ impl Experiment {
 /// `merge_shards` accepts the set.
 fn identity(name: &str, opts: &RunOptions) -> String {
     format!(
-        "{name}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{}|{}|{:?}|{:?}",
+        "{name}|{}|{}|{}|{}|{}|{}|{:?}|{:?}|{}|{:?}|{:?}",
         opts.sectors,
         opts.weeks,
         opts.seed,
@@ -112,7 +112,6 @@ fn identity(name: &str, opts: &RunOptions) -> String {
         opts.t_step,
         opts.imputer,
         opts.failure_rate,
-        opts.full,
         opts.firewall,
         opts.cell_deadline_ms,
         opts.split_strategy(),

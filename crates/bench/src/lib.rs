@@ -10,10 +10,10 @@
 //! Every experiment binary prints a self-describing TSV block to
 //! stdout so `EXPERIMENTS.md` can quote results verbatim. All
 //! binaries accept `--sectors`, `--weeks`, `--seed`, `--trees`,
-//! `--train-days`, `--t-step`, `--imputer {ffill|mean|ae}`, and
-//! `--full` (paper-scale grid; expect hours of runtime on a laptop),
-//! laid over the binary's own defaults so an explicit flag always
-//! wins. Only the sweep binaries ([`SweepFlags::Honoured`]) take the
+//! `--train-days`, `--t-step` and `--imputer {ffill|mean|ae}` (the
+//! paper-scale grid is `--t-step 1 --trees 100`; expect hours of
+//! runtime on a laptop), laid over the binary's own defaults so an
+//! explicit flag always wins. Only the sweep binaries ([`SweepFlags::Honoured`]) take the
 //! sweep flags `--checkpoint`, `--resume`, `--shards`, `--shard` and
 //! `--merge`; the others refuse them.
 //! Observability flags ride along on every binary too: `--log-level`

@@ -53,8 +53,6 @@ pub struct RunOptions {
     /// default; the become-target experiments default to a higher,
     /// emergence-rich rate so evaluation days have positives).
     pub failure_rate: Option<f64>,
-    /// Paper-scale grid (overrides the thinned defaults).
-    pub full: bool,
     /// Sweep checkpoint file: finished cells are journaled here, and
     /// with `--resume` a prior partial run is continued.
     pub checkpoint: Option<std::path::PathBuf>,
@@ -107,7 +105,6 @@ impl Default for RunOptions {
             t_step: 12,
             imputer: ImputerChoice::ForwardFill,
             failure_rate: None,
-            full: false,
             checkpoint: None,
             resume: false,
             firewall: false,
@@ -186,7 +183,6 @@ impl RunOptions {
                         std::process::exit(2);
                     }));
                 }
-                "--full" => opts.full = true,
                 "--checkpoint" => {
                     opts.checkpoint = Some(take(&mut args, "--checkpoint").into())
                 }
@@ -243,7 +239,7 @@ impl RunOptions {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --sectors N --weeks N --seed N --trees N --train-days N \
-                         --t-step N --imputer (ffill|mean|ae) --failure-rate F --full \
+                         --t-step N --imputer (ffill|mean|ae) --failure-rate F \
                          --checkpoint PATH --resume --firewall --cell-deadline-ms N \
                          --log-level (error|warn|info|debug) --metrics-out PATH \
                          --manifest PATH --split-strategy (exact|histogram) --max-bins N \
@@ -260,10 +256,6 @@ impl RunOptions {
         if let Some(refusal) = opts.out_of_range() {
             eprintln!("{refusal}");
             std::process::exit(2);
-        }
-        if opts.full {
-            opts.t_step = 1;
-            opts.trees = opts.trees.max(100);
         }
         if opts.shard.is_some() && opts.merge {
             eprintln!("--shard (worker mode) and --merge (collector mode) are mutually exclusive");
@@ -382,7 +374,6 @@ mod tests {
         assert_eq!(o.sectors, 200);
         assert_eq!(o.weeks, 18);
         assert_eq!(o.imputer, ImputerChoice::ForwardFill);
-        assert!(!o.full);
     }
 
     #[test]
@@ -520,13 +511,6 @@ mod tests {
         }
         let edge = RunOptions { max_bins: 2, failure_rate: Some(0.0), t_step: 1, ..d };
         assert_eq!(edge.out_of_range(), None);
-    }
-
-    #[test]
-    fn full_flag_expands_grid() {
-        let o = parse(&["--full"]);
-        assert_eq!(o.t_step, 1);
-        assert!(o.trees >= 100);
     }
 
     #[test]

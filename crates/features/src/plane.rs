@@ -13,8 +13,9 @@
 //!
 //! * **build-once** — each key's plane is built by exactly one thread
 //!   (concurrent requesters for the same key block on a per-entry
-//!   [`OnceLock`]; distinct keys build in parallel), so within one
-//!   cache a plane is computed at most once unless evicted;
+//!   [`OnceLock`](std::sync::OnceLock); distinct keys build in
+//!   parallel), so within one cache a plane is computed at most once
+//!   unless evicted;
 //! * **read-only after build** — planes are shared as
 //!   `Arc<FeaturePlane>` and never mutated, so a cached row is the
 //!   *same bytes* `FeatureBuilder::build` would have produced and
@@ -31,9 +32,9 @@
 //!   the series' day count), built lazily by the first such request.
 //!   Every windowed plane of that builder is then a gather of `5·w`
 //!   slices from the table rather than a re-summary of each day. The
-//!   table lives outside the byte budget, so eviction never churns it;
-//!   windowed planes are keyed, counted and evicted exactly like any
-//!   other plane.
+//!   tables sit in a second [`Memo`] with an unbounded budget, so
+//!   eviction never churns them; windowed planes are keyed, counted
+//!   and evicted exactly like any other plane.
 //!
 //! Observability: the cache increments the
 //! `features.cache.{hit,miss,build,evict,bytes}` counters (all
@@ -49,9 +50,8 @@ use hotspot_core::memo::Memo;
 use hotspot_core::tensor::Tensor3;
 use hotspot_core::HOURS_PER_DAY;
 use hotspot_obs as obs;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
 /// Resident-plane byte budget of the cache a sweep shares across its
 /// cells (256 MiB).
@@ -159,8 +159,9 @@ pub struct CacheStats {
 /// planes, shared via `Arc` across grid cells and worker threads.
 pub struct PlaneCache {
     planes: Memo<PlaneKey, FeaturePlane>,
-    /// Whole-series planes of the day-separable builders, by name.
-    day_tables: Mutex<HashMap<&'static str, Arc<OnceLock<Arc<FeaturePlane>>>>>,
+    /// Whole-series planes of the day-separable builders, by name
+    /// (never evicted).
+    day_tables: Memo<&'static str, FeaturePlane>,
     hits: AtomicU64,
     misses: AtomicU64,
     builds: AtomicU64,
@@ -185,7 +186,7 @@ impl PlaneCache {
     pub fn new(budget_bytes: usize) -> Self {
         PlaneCache {
             planes: Memo::new(budget_bytes, FeaturePlane::bytes),
-            day_tables: Mutex::new(HashMap::new()),
+            day_tables: Memo::new(usize::MAX, FeaturePlane::bytes),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             builds: AtomicU64::new(0),
@@ -250,17 +251,15 @@ impl PlaneCache {
         groups: usize,
         n_days: usize,
     ) -> Arc<FeaturePlane> {
-        let cell = {
-            let mut tables = self.day_tables.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(tables.entry(builder.name()).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| {
+        let lookup = self.day_tables.get_or_build(&builder.name(), || {
             let _span = obs::span!("features.day_table");
-            let table = Arc::new(FeaturePlane::build(builder, x, n_days, n_days));
+            FeaturePlane::build(builder, x, n_days, n_days)
+        });
+        if lookup.built {
             self.day_tables_built.fetch_add(1, Ordering::Relaxed);
             obs::counter("features.day_table.blocks").add((x.n_sectors() * n_days * groups) as u64);
-            table
-        }))
+        }
+        lookup.value
     }
 
     /// Current counters.

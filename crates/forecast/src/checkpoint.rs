@@ -1,16 +1,15 @@
 //! Append-only sweep checkpoints.
 //!
 //! A checkpoint is a TSV journal: one header line binding the file to
-//! a specific [`SweepConfig`](crate::sweep::SweepConfig) *and shard*,
-//! then one line per finished cell, appended (and flushed) the moment
-//! the cell completes. The format is designed to be *crash-consistent*
-//! rather than transactional: a process killed mid-write leaves at
-//! most one torn trailing line, which loading tolerates (the cell
-//! simply reruns) and appending truncates before continuing. Anything
-//! else malformed — a corrupt interior line, a header for a different
-//! config, a grid shape or shard that disagrees with the plan, a
-//! duplicated or off-shard cell — is a real error and refuses to
-//! resume rather than silently mixing runs.
+//! one shard of a specific [`SweepPlan`], then one line per finished
+//! cell, appended (and flushed) the moment the cell completes. The
+//! format is designed to be *crash-consistent* rather than
+//! transactional: a process killed mid-write leaves at most one torn
+//! trailing line, which loading tolerates (the cell simply reruns) and
+//! appending truncates before continuing. Anything else malformed — a
+//! corrupt interior line, a header for another sweep, shard or grid
+//! shape, a duplicated or off-shard cell — is a real error and refuses
+//! to resume rather than silently mixing runs.
 //!
 //! The v2 header carries three facts:
 //!
@@ -23,7 +22,11 @@
 //! this shard covers (the grid-shape cross-check — a fingerprint
 //! collision or hand-edited header cannot smuggle in a different
 //! grid), and `shard` is the [`ShardSpec`] the journal belongs to
-//! (`0/1` for unsharded runs).
+//! (`0/1` for unsharded runs). [`CheckpointHeader::check`] is the one
+//! place a header is compared with a plan and a shard: resume
+//! ([`load_checkpoint_sharded`]) and
+//! [`merge_shards`](crate::sweep::merge_shards) both refuse through
+//! it, naming the field that differs.
 //!
 //! Floats are serialised with `{:?}` (Rust's shortest round-trip
 //! rendering), so a resumed record is bit-identical to the one the
@@ -104,6 +107,43 @@ pub struct CheckpointHeader {
 }
 
 impl CheckpointHeader {
+    /// The header a journal of `shard` of `plan` carries.
+    pub fn expected(plan: &SweepPlan, shard: ShardSpec) -> Self {
+        CheckpointHeader {
+            fingerprint: plan.fingerprint(),
+            cells: plan.shard_cells(shard).len(),
+            shard,
+        }
+    }
+
+    /// Refuse a header that does not belong to `shard` of `plan`,
+    /// naming the first field that differs: `fingerprint` (another
+    /// sweep configuration), `shard`, or `cells` (a grid shape that
+    /// disagrees with the plan although the fingerprint matches).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidData`] on the first mismatching field.
+    pub fn check(&self, plan: &SweepPlan, shard: ShardSpec) -> CoreResult<()> {
+        let want = CheckpointHeader::expected(plan, shard);
+        let (field, found, expected, why) = if self.fingerprint != want.fingerprint {
+            let hex = |fp: u64| format!("{fp:016x}");
+            let why = "the journal belongs to a different sweep configuration";
+            ("fingerprint", hex(self.fingerprint), hex(want.fingerprint), why)
+        } else if self.shard != want.shard {
+            let why = "the journal belongs to another shard of this sweep";
+            ("shard", self.shard.to_string(), want.shard.to_string(), why)
+        } else if self.cells != want.cells {
+            let why = "the plan's grid shape disagrees although the fingerprint matches";
+            ("cells", self.cells.to_string(), want.cells.to_string(), why)
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::InvalidData(format!(
+            "checkpoint {field} mismatch: found {found}, expected {expected} — {why}"
+        )))
+    }
+
     fn render(&self) -> String {
         format!(
             "{MAGIC} fingerprint={:016x} cells={} shard={}",
@@ -261,8 +301,8 @@ fn parse_line(line: &str, line_no: usize) -> CoreResult<CheckpointEntry> {
 /// and every complete entry, as written. The collector uses this to
 /// gather shard journals before doing its own cross-shard validation.
 ///
-/// Unlike [`load_checkpoint`], a **missing file is an error** here —
-/// a merge cannot proceed without the shard.
+/// Unlike [`load_checkpoint_sharded`], a **missing file is an error**
+/// here — a merge cannot proceed without the shard.
 pub fn load_checkpoint_raw(path: &Path) -> CoreResult<(CheckpointHeader, Vec<CheckpointEntry>)> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CoreError::InvalidData(format!("cannot read {}: {e}", path.display())))?;
@@ -282,19 +322,17 @@ pub fn load_checkpoint_raw(path: &Path) -> CoreResult<(CheckpointHeader, Vec<Che
     Ok((header, entries))
 }
 
-/// Load the cells journaled in `path` for one shard of `config`'s
-/// plan.
+/// Load the cells journaled in `path` for `shard` of `plan`.
 ///
 /// A missing file is an empty checkpoint (fresh run). A torn final
 /// line — no trailing newline, as a crash mid-append leaves — is
 /// dropped, not an error; that cell simply reruns. Refused with a
-/// [`CoreError::InvalidData`]: corrupt *complete* lines, a config-
-/// fingerprint mismatch, a header whose cell count disagrees with the
-/// plan's grid shape, a shard mismatch, and entries that are
-/// duplicated or fall outside the shard's slice of the plan.
+/// [`CoreError::InvalidData`]: corrupt *complete* lines, a header that
+/// fails [`CheckpointHeader::check`], and entries that are duplicated
+/// or fall outside the shard's slice of the plan.
 pub fn load_checkpoint_sharded(
     path: &Path,
-    config: &SweepConfig,
+    plan: &SweepPlan,
     shard: ShardSpec,
 ) -> CoreResult<Vec<CheckpointEntry>> {
     shard.validate()?;
@@ -302,31 +340,8 @@ pub fn load_checkpoint_sharded(
         return Ok(Vec::new());
     }
     let (header, entries) = load_checkpoint_raw(path)?;
-    if header.fingerprint != config_fingerprint(config) {
-        return Err(CoreError::InvalidData(format!(
-            "checkpoint fingerprint mismatch: found {:016x}, expected {:016x} — \
-             this checkpoint belongs to a different sweep configuration",
-            header.fingerprint,
-            config_fingerprint(config)
-        )));
-    }
-    if header.shard != shard {
-        return Err(CoreError::InvalidData(format!(
-            "checkpoint belongs to shard {}, this run is shard {shard}",
-            header.shard
-        )));
-    }
-    let plan = SweepPlan::new(config);
+    header.check(plan, shard)?;
     let owned: HashSet<CellKey> = plan.shard_cells(shard).into_iter().collect();
-    if header.cells != owned.len() {
-        return Err(CoreError::InvalidData(format!(
-            "checkpoint grid shape mismatch: header declares {} cells for shard {shard} \
-             but the plan assigns it {} — the fingerprint matches yet the grid does not, \
-             so the checkpoint cannot be trusted for resume",
-            header.cells,
-            owned.len()
-        )));
-    }
     let mut seen: HashSet<CellKey> = HashSet::with_capacity(entries.len());
     for entry in &entries {
         let key = entry.key();
@@ -344,11 +359,6 @@ pub fn load_checkpoint_sharded(
     Ok(entries)
 }
 
-/// [`load_checkpoint_sharded`] for the unsharded whole.
-pub fn load_checkpoint(path: &Path, config: &SweepConfig) -> CoreResult<Vec<CheckpointEntry>> {
-    load_checkpoint_sharded(path, config, ShardSpec::FULL)
-}
-
 /// Appends finished cells to a checkpoint file, creating it (with its
 /// v2 header) when absent. Safe to share across sweep worker threads;
 /// every line is written and flushed atomically with respect to the
@@ -358,25 +368,17 @@ pub struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// Open `path` for appending as `shard`'s journal. An existing
-    /// file is first truncated back to its last complete line,
-    /// discarding a torn tail from an earlier crash.
-    pub fn open_sharded(
-        path: &Path,
-        config: &SweepConfig,
-        shard: ShardSpec,
-    ) -> CoreResult<Self> {
+    /// Open `path` for appending as the journal of `shard` of `plan`.
+    /// An existing file is first truncated back to its last complete
+    /// line, discarding a torn tail from an earlier crash.
+    pub fn open_sharded(path: &Path, plan: &SweepPlan, shard: ShardSpec) -> CoreResult<Self> {
         shard.validate()?;
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
         let mut existing = String::new();
         file.read_to_string(&mut existing)?;
         if existing.is_empty() {
-            let header = CheckpointHeader {
-                fingerprint: config_fingerprint(config),
-                cells: SweepPlan::new(config).shard_cells(shard).len(),
-                shard,
-            };
+            let header = CheckpointHeader::expected(plan, shard);
             file.write_all(format!("{}\n", header.render()).as_bytes())?;
         } else {
             // Keep everything through the final newline; a torn tail
@@ -387,11 +389,6 @@ impl CheckpointWriter {
         }
         file.flush()?;
         Ok(CheckpointWriter { file: Mutex::new(file) })
-    }
-
-    /// [`CheckpointWriter::open_sharded`] for the unsharded whole.
-    pub fn open(path: &Path, config: &SweepConfig) -> CoreResult<Self> {
-        Self::open_sharded(path, config, ShardSpec::FULL)
     }
 
     /// Journal one finished cell.
@@ -435,6 +432,19 @@ mod tests {
         assert_eq!(config_fingerprint(&exact), 0x5b48_16b5_f0c0_1cda);
     }
 
+    fn plan() -> SweepPlan {
+        SweepPlan::new(&config())
+    }
+
+    /// The unsharded journal of [`config`]'s plan at `path`.
+    fn open(path: &Path) -> CheckpointWriter {
+        CheckpointWriter::open_sharded(path, &plan(), ShardSpec::FULL).unwrap()
+    }
+
+    fn load(path: &Path) -> CoreResult<Vec<CheckpointEntry>> {
+        load_checkpoint_sharded(path, &plan(), ShardSpec::FULL)
+    }
+
     fn cell(model: ModelSpec, t: usize, outcome: CellOutcome) -> SweepCell {
         SweepCell { model, t, h: 1, w: 3, outcome, elapsed_ms: 17, attempts: 2, resumed: false }
     }
@@ -449,7 +459,6 @@ mod tests {
     fn round_trips_every_outcome() {
         let path = tmp("round_trip.tsv");
         let _ = std::fs::remove_file(&path);
-        let cfg = config();
         let outcomes = vec![
             CellOutcome::Evaluated(EvalRecord {
                 ap: 0.1 + 0.2, // deliberately non-representable exactly
@@ -466,12 +475,12 @@ mod tests {
         // duplicated coordinates).
         let coords =
             [(ModelSpec::Average, 20), (ModelSpec::Average, 24), (ModelSpec::RfF1, 20), (ModelSpec::RfF1, 24)];
-        let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+        let writer = open(&path);
         for (o, (m, t)) in outcomes.iter().zip(coords) {
             writer.append(&cell(m, t, o.clone())).unwrap();
         }
         drop(writer);
-        let loaded = load_checkpoint(&path, &cfg).unwrap();
+        let loaded = load(&path).unwrap();
         assert_eq!(loaded.len(), outcomes.len());
         for (entry, expected) in loaded.iter().zip(&outcomes) {
             assert_eq!(&entry.outcome, expected);
@@ -485,7 +494,7 @@ mod tests {
     fn missing_file_is_empty_checkpoint() {
         let path = tmp("never_created.tsv");
         let _ = std::fs::remove_file(&path);
-        assert!(load_checkpoint(&path, &config()).unwrap().is_empty());
+        assert!(load(&path).unwrap().is_empty());
         // But the raw (collector) loader insists on the file existing.
         assert!(load_checkpoint_raw(&path).is_err());
     }
@@ -494,8 +503,7 @@ mod tests {
     fn torn_final_line_is_dropped_on_load_and_truncated_on_append() {
         let path = tmp("torn.tsv");
         let _ = std::fs::remove_file(&path);
-        let cfg = config();
-        let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+        let writer = open(&path);
         writer.append(&cell(ModelSpec::Average, 20, CellOutcome::Empty)).unwrap();
         drop(writer);
         // Simulate a crash mid-append: a partial record, no newline.
@@ -503,86 +511,54 @@ mod tests {
         raw.push_str("RF-F1\t24\t1\t3\tev");
         std::fs::write(&path, &raw).unwrap();
 
-        let loaded = load_checkpoint(&path, &cfg).unwrap();
+        let loaded = load(&path).unwrap();
         assert_eq!(loaded.len(), 1, "torn tail must be ignored");
 
         // Reopening for append truncates the tail so new lines parse.
-        let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+        let writer = open(&path);
         writer.append(&cell(ModelSpec::Average, 24, CellOutcome::Empty)).unwrap();
         drop(writer);
-        assert_eq!(load_checkpoint(&path, &cfg).unwrap().len(), 2);
+        assert_eq!(load(&path).unwrap().len(), 2);
     }
 
     #[test]
     fn corrupt_interior_line_is_an_error() {
         let path = tmp("corrupt.tsv");
         let _ = std::fs::remove_file(&path);
-        let cfg = config();
-        let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+        let writer = open(&path);
         writer.append(&cell(ModelSpec::Average, 20, CellOutcome::Empty)).unwrap();
         drop(writer);
         let mut raw = std::fs::read_to_string(&path).unwrap();
         raw.push_str("not\ta\tvalid\trecord\n");
         raw.push_str("Average\t24\t1\t3\tempty\t0\t1\n");
         std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(load_checkpoint(&path, &cfg), Err(CoreError::InvalidData(_))));
-    }
-
-    #[test]
-    fn different_config_refuses_to_resume() {
-        let path = tmp("fingerprint.tsv");
-        let _ = std::fs::remove_file(&path);
-        let cfg = config();
-        drop(CheckpointWriter::open(&path, &cfg).unwrap());
-        let mut other = config();
-        other.seed = 99;
-        let err = load_checkpoint(&path, &other).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidData(_)), "{err:?}");
-        // Same config, new writer: still fine.
-        assert!(load_checkpoint(&path, &cfg).unwrap().is_empty());
-    }
-
-    #[test]
-    fn grid_shape_mismatch_refuses_to_resume_even_with_matching_fingerprint() {
-        let path = tmp("grid_shape.tsv");
-        let _ = std::fs::remove_file(&path);
-        let cfg = config();
-        drop(CheckpointWriter::open(&path, &cfg).unwrap());
-        // Hand-edit the header's cell count: fingerprint still
-        // matches, but the declared grid shape no longer does.
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let edited = raw.replace("cells=4", "cells=5");
-        assert_ne!(raw, edited, "test premise: config has 4 cells");
-        std::fs::write(&path, &edited).unwrap();
-        let err = load_checkpoint(&path, &cfg).unwrap_err();
-        assert!(err.to_string().contains("grid shape mismatch"), "{err}");
+        assert!(matches!(load(&path), Err(CoreError::InvalidData(_))));
     }
 
     #[test]
     fn shard_journals_are_bound_to_their_shard() {
         let path = tmp("sharded.tsv");
         let _ = std::fs::remove_file(&path);
-        let cfg = config();
         let shard0 = ShardSpec { index: 0, count: 2 };
         let shard1 = ShardSpec { index: 1, count: 2 };
-        let plan = SweepPlan::new(&cfg);
+        let plan = plan();
         let mine = plan.shard_cells(shard0);
         let theirs = plan.shard_cells(shard1);
         assert!(!mine.is_empty() && !theirs.is_empty(), "partition split 4 cells unevenly");
 
-        let writer = CheckpointWriter::open_sharded(&path, &cfg, shard0).unwrap();
+        let writer = CheckpointWriter::open_sharded(&path, &plan, shard0).unwrap();
         writer.append(&cell(mine[0].model, mine[0].t, CellOutcome::Empty)).unwrap();
         drop(writer);
-        assert_eq!(load_checkpoint_sharded(&path, &cfg, shard0).unwrap().len(), 1);
+        assert_eq!(load_checkpoint_sharded(&path, &plan, shard0).unwrap().len(), 1);
         // Loading as the wrong shard refuses.
-        let err = load_checkpoint_sharded(&path, &cfg, shard1).unwrap_err();
-        assert!(err.to_string().contains("belongs to shard 0/2"), "{err}");
+        let err = load_checkpoint_sharded(&path, &plan, shard1).unwrap_err();
+        assert!(err.to_string().contains("shard mismatch: found 0/2"), "{err}");
 
         // An entry from the other shard's slice refuses.
-        let writer = CheckpointWriter::open_sharded(&path, &cfg, shard0).unwrap();
+        let writer = CheckpointWriter::open_sharded(&path, &plan, shard0).unwrap();
         writer.append(&cell(theirs[0].model, theirs[0].t, CellOutcome::Empty)).unwrap();
         drop(writer);
-        let err = load_checkpoint_sharded(&path, &cfg, shard0).unwrap_err();
+        let err = load_checkpoint_sharded(&path, &plan, shard0).unwrap_err();
         assert!(err.to_string().contains("outside shard"), "{err}");
     }
 
@@ -590,12 +566,11 @@ mod tests {
     fn duplicate_entries_refuse_to_resume() {
         let path = tmp("duplicates.tsv");
         let _ = std::fs::remove_file(&path);
-        let cfg = config();
-        let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+        let writer = open(&path);
         writer.append(&cell(ModelSpec::Average, 20, CellOutcome::Empty)).unwrap();
         writer.append(&cell(ModelSpec::Average, 20, CellOutcome::Empty)).unwrap();
         drop(writer);
-        let err = load_checkpoint(&path, &cfg).unwrap_err();
+        let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("appears twice"), "{err}");
     }
 
@@ -603,13 +578,13 @@ mod tests {
     fn raw_loader_reports_header_facts() {
         let path = tmp("raw.tsv");
         let _ = std::fs::remove_file(&path);
-        let cfg = config();
         let shard = ShardSpec { index: 1, count: 3 };
-        drop(CheckpointWriter::open_sharded(&path, &cfg, shard).unwrap());
+        drop(CheckpointWriter::open_sharded(&path, &plan(), shard).unwrap());
         let (header, entries) = load_checkpoint_raw(&path).unwrap();
-        assert_eq!(header.fingerprint, config_fingerprint(&cfg));
+        assert_eq!(header.fingerprint, config_fingerprint(&config()));
         assert_eq!(header.shard, shard);
-        assert_eq!(header.cells, SweepPlan::new(&cfg).shard_cells(shard).len());
+        assert_eq!(header.cells, plan().shard_cells(shard).len());
+        assert_eq!(header, CheckpointHeader::expected(&plan(), shard));
         assert!(entries.is_empty());
     }
 

@@ -25,11 +25,11 @@ pub use context::{ForecastContext, Target};
 pub use evaluate::{evaluate_day, EvalRecord};
 pub use models::ModelSpec;
 pub use checkpoint::{
-    config_fingerprint, load_checkpoint, load_checkpoint_raw, load_checkpoint_sharded,
+    config_fingerprint, load_checkpoint_raw, load_checkpoint_sharded,
     CheckpointHeader, CheckpointWriter,
 };
 pub use sweep::{
-    canonical_tsv, deterministic_projection, merge_shards, run_sweep, run_sweep_resumable,
+    canonical_tsv, deterministic_projection, merge_shards, run_sweep,
     CellKey, CellOutcome, FaultPlan, InProcessExecutor, MergedSweep, ResiliencePolicy, ShardFiles,
     ShardSpec, SweepCell, SweepConfig, SweepHealth, SweepPlan, SweepResult, TableIIIGrid,
 };

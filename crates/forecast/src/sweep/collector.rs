@@ -4,8 +4,10 @@
 //! Merge invariants (enforced here, pinned by
 //! `tests/sharded_sweep.rs` and `scripts/sweep_shard_smoke.sh`):
 //!
-//! 1. **One configuration.** Every shard checkpoint must carry the
-//!    plan's config fingerprint, and every shard *manifest* present
+//! 1. **One configuration.** Every shard checkpoint header must pass
+//!    [`CheckpointHeader::check`](crate::checkpoint::CheckpointHeader::check)
+//!    against the plan and its shard (the same check resume runs:
+//!    fingerprint, shard, cell count), and every shard *manifest* present
 //!    must share one bench config fingerprint — validated via
 //!    [`compare_manifests`](hotspot_obs::compare_manifests), whose
 //!    rendered diff becomes the refusal diagnostic.
@@ -100,7 +102,9 @@ fn read_manifest(path: &Path) -> CoreResult<RunManifest> {
 /// # Errors
 ///
 /// [`CoreError::InvalidData`] when any shard disagrees with the plan
-/// (fingerprint, grid shape, duplicate or missing cells) or when
+/// (a header failing
+/// [`CheckpointHeader::check`](crate::checkpoint::CheckpointHeader::check),
+/// duplicate or missing cells) or when
 /// shard manifests carry different config fingerprints — the latter
 /// diagnostic embeds the [`compare_manifests`] report. I/O errors
 /// reading shard files surface as [`CoreError::Io`]-like variants.
@@ -109,43 +113,23 @@ pub fn merge_shards(plan: &SweepPlan, shards: &[ShardFiles]) -> CoreResult<Merge
         return Err(refuse("no shard files given".into()));
     }
 
-    // Invariant 1a: every checkpoint belongs to this plan.
+    // Invariant 1a: every checkpoint belongs to its shard of this plan.
     let mut all_entries = Vec::with_capacity(plan.n_cells());
     for files in shards {
-        let (header, entries) = load_checkpoint_raw(&files.checkpoint).map_err(|e| {
+        let refuse_shard = |e: CoreError, hint: &str| {
             refuse(format!(
-                "shard {} checkpoint {}: {e} — did its worker die before writing? \
-                 rerun that shard to (re)create it",
+                "shard {} checkpoint {}: {e}{hint}",
                 files.shard,
                 files.checkpoint.display()
             ))
+        };
+        let (header, entries) = load_checkpoint_raw(&files.checkpoint).map_err(|e| {
+            refuse_shard(
+                e,
+                " — did its worker die before writing? rerun that shard to (re)create it",
+            )
         })?;
-        if header.fingerprint != plan.fingerprint() {
-            return Err(refuse(format!(
-                "shard {} checkpoint {} has config fingerprint {:016x}, plan has {:016x} — \
-                 these shards come from different sweep configurations",
-                files.shard,
-                files.checkpoint.display(),
-                header.fingerprint,
-                plan.fingerprint()
-            )));
-        }
-        if header.shard != files.shard {
-            return Err(refuse(format!(
-                "checkpoint {} says it is shard {}, expected shard {}",
-                files.checkpoint.display(),
-                header.shard,
-                files.shard
-            )));
-        }
-        let expected = plan.shard_cells(header.shard).len();
-        if header.cells != expected {
-            return Err(refuse(format!(
-                "shard {} checkpoint declares {} cells but the plan assigns it {} — \
-                 grid shape disagrees with the plan",
-                files.shard, header.cells, expected
-            )));
-        }
+        header.check(plan, files.shard).map_err(|e| refuse_shard(e, ""))?;
         for entry in entries {
             all_entries.push((files.shard, entry));
         }

@@ -1,12 +1,14 @@
 //! The executor layer: running cells of a [`SweepPlan`].
 //!
-//! [`InProcessExecutor`] is the classic path — a scoped thread pool
+//! [`InProcessExecutor`] is the one sweep runner — a scoped thread pool
 //! pulling cells off an atomic work queue, with per-cell
 //! [`catch_unwind`] panic isolation, bounded deterministic retry,
-//! cooperative soft deadlines, and an append-only checkpoint journal.
-//! It executes any [`ShardSpec`], so one type serves both the
-//! single-process whole ([`ShardSpec::FULL`]) and a `--shard i/n`
-//! worker process.
+//! cooperative soft deadlines, and an optional append-only checkpoint
+//! journal. It derives its plan from its own config and executes any
+//! [`ShardSpec`] of it, so one type serves the in-memory
+//! [`run_sweep`](super::run_sweep), a `--checkpoint` run of the
+//! unsharded whole ([`ShardSpec::FULL`]) and a `--shard i/n` worker
+//! process alike.
 //!
 //! A multi-process sweep is N processes, each running an
 //! [`InProcessExecutor`] over its own shard (`--shards N --shard I`
@@ -14,9 +16,9 @@
 //! combines their shard files afterwards (`--shards N --merge`).
 
 use super::plan::{CellKey, ShardSpec, SweepPlan};
-use super::{CellOutcome, SweepCell, SweepConfig};
+use super::{CellOutcome, SweepCell, SweepConfig, SweepHealth, SweepResult};
 use crate::cache::SweepCache;
-use crate::checkpoint::{config_fingerprint, load_checkpoint_sharded, CheckpointWriter};
+use crate::checkpoint::{load_checkpoint_sharded, CheckpointWriter};
 use crate::classifier::fit_and_forecast;
 use crate::context::ForecastContext;
 use crate::evaluate::{evaluate_day, EvalRecord};
@@ -32,14 +34,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Thread-pool executor for one shard (or the unsharded whole) of a
-/// plan, refactored from the original `run_sweep_resumable` monolith:
-/// same work queue, same resilience semantics, same checkpoint
-/// adoption.
+/// Thread-pool executor for one shard (or the unsharded whole) of its
+/// config's plan.
 pub struct InProcessExecutor<'a> {
     /// Forecasting context the cells evaluate against.
     pub ctx: &'a ForecastContext,
-    /// The sweep configuration (must match the plan's fingerprint).
+    /// The sweep configuration; its [`SweepPlan`] is the grid to run.
     pub config: &'a SweepConfig,
     /// Which slice of the plan to run.
     pub shard: ShardSpec,
@@ -54,28 +54,25 @@ pub struct InProcessExecutor<'a> {
 }
 
 impl InProcessExecutor<'_> {
-    /// Run the cells of this executor's shard and return their
-    /// outcomes. Executors return bare cells; assembling a
-    /// [`SweepResult`](super::SweepResult) (health report, canonical
-    /// ordering) is the collector's job.
+    /// Run the cells of this executor's shard of the config's plan.
+    /// Journaled cells are adopted instead of recomputed, so a re-run
+    /// after an interruption finishes only the remainder — and,
+    /// because cells are deterministic under the config seed, yields
+    /// the records an uninterrupted run would.
     ///
     /// # Errors
     ///
-    /// Infrastructure failures only — a config that does not match the
-    /// plan, or checkpoint I/O/validation. Cell-level panics, timeouts,
-    /// and retries degrade to structured [`CellOutcome`]s instead of
+    /// Infrastructure failures only — an invalid shard, or checkpoint
+    /// I/O and validation (a header failing
+    /// [`CheckpointHeader::check`](crate::checkpoint::CheckpointHeader::check),
+    /// corrupt non-final lines). Cell-level panics, timeouts, and
+    /// retries degrade to structured [`CellOutcome`]s instead of
     /// erroring.
-    pub fn execute(&self, plan: &SweepPlan) -> CoreResult<Vec<SweepCell>> {
+    pub fn execute(&self) -> CoreResult<SweepResult> {
         let _span = obs::span!("sweep");
         let config = self.config;
         self.shard.validate()?;
-        if plan.fingerprint() != config_fingerprint(config) {
-            return Err(CoreError::InvalidConfig(
-                "executor config does not match the plan's fingerprint — \
-                 plan and executor must be built from the same SweepConfig"
-                    .into(),
-            ));
-        }
+        let plan = SweepPlan::new(config);
         let combos = plan.shard_cells(self.shard);
         // One cache per execution, shared by every worker thread (and
         // both sides of every classifier fit).
@@ -84,10 +81,10 @@ impl InProcessExecutor<'_> {
         let mut done: HashMap<CellKey, SweepCell> = HashMap::new();
         let writer = match &self.checkpoint {
             Some(path) => {
-                for entry in load_checkpoint_sharded(path, config, self.shard)? {
+                for entry in load_checkpoint_sharded(path, &plan, self.shard)? {
                     done.insert(entry.key(), entry.into_cell());
                 }
-                Some(CheckpointWriter::open_sharded(path, config, self.shard)?)
+                Some(CheckpointWriter::open_sharded(path, &plan, self.shard)?)
             }
             None => None,
         };
@@ -143,31 +140,24 @@ impl InProcessExecutor<'_> {
         if let Some(e) = write_error.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
-        Ok(results.into_inner().unwrap_or_else(PoisonError::into_inner))
+        Ok(SweepResult::from_cells(results.into_inner().unwrap_or_else(PoisonError::into_inner)))
     }
 }
 
-/// Per-cell metric accounting, mirroring
-/// [`SweepHealth::from_cells`](super::SweepHealth::from_cells) so the
-/// final counter totals equal the health report: `evaluated`, `empty`
-/// (= skipped), `failed` (= errored), `timeout`, plus
-/// `retried`/`resumed` under the same conditions. Recomputed cells
-/// also feed the `sweep.cell_ms` duration histogram (adopted cells'
-/// timings belong to the original run).
+/// Per-cell metric accounting: the `sweep.cells.*` counters tally the
+/// cell through [`SweepHealth::tally`], the rule the health report
+/// uses, so the final counter totals equal the report. Recomputed
+/// cells also feed the `sweep.cell_ms` duration histogram (adopted
+/// cells' timings belong to the original run).
 fn record_cell_metrics(cell: &SweepCell) {
-    let name = match cell.outcome {
-        CellOutcome::Evaluated(_) => "sweep.cells.evaluated",
-        CellOutcome::Empty => "sweep.cells.empty",
-        CellOutcome::Failed { .. } => "sweep.cells.failed",
-        CellOutcome::TimedOut { .. } => "sweep.cells.timeout",
-    };
-    obs::counter(name).inc();
-    if cell.attempts > 1 && cell.outcome.record().is_some() {
-        obs::counter("sweep.cells.retried").inc();
+    let mut health = SweepHealth::default();
+    health.tally(cell);
+    for (name, n) in health.counters() {
+        if n > 0 {
+            obs::counter(name).add(n as u64);
+        }
     }
-    if cell.resumed {
-        obs::counter("sweep.cells.resumed").inc();
-    } else {
+    if !cell.resumed {
         obs::histogram("sweep.cell_ms", &obs::DURATION_MS_BOUNDS).observe(cell.elapsed_ms as f64);
     }
 }
@@ -309,46 +299,5 @@ mod tests {
         assert_eq!(retry, attempt_seed(7, 2));
         assert_ne!(retry, attempt_seed(7, 3));
         assert_eq!(retry, 8599263559809057095, "retry seeds are pinned");
-    }
-
-    #[test]
-    fn executor_rejects_mismatched_plan() {
-        use crate::sweep::{ResiliencePolicy, SweepPlan};
-        let mk = |seed| SweepConfig {
-            models: vec![ModelSpec::Average],
-            ts: vec![20],
-            hs: vec![1],
-            ws: vec![3],
-            n_trees: 4,
-            train_days: 2,
-            random_repeats: 5,
-            seed,
-            n_threads: Some(1),
-            resilience: ResiliencePolicy::default(),
-            split: hotspot_trees::SplitStrategy::default(),
-        };
-        // A context is expensive; the fingerprint check fires before
-        // any cell runs, so a minimal one suffices.
-        let catalog = hotspot_core::kpi::KpiCatalog::standard();
-        let kpis = hotspot_core::tensor::Tensor3::from_fn(
-            4,
-            hotspot_core::HOURS_PER_WEEK * 2,
-            21,
-            |_, _, k| catalog.defs()[k].nominal,
-        );
-        let scored = hotspot_core::pipeline::ScorePipeline::standard().run(&kpis).unwrap();
-        let ctx =
-            ForecastContext::build(&kpis, &scored, crate::context::Target::BeHotSpot).unwrap();
-        let plan = SweepPlan::new(&mk(1));
-        let other = mk(2);
-        let exec = InProcessExecutor {
-            ctx: &ctx,
-            config: &other,
-            shard: ShardSpec::FULL,
-            checkpoint: None,
-            cache: None,
-        };
-        let err = exec.execute(&plan).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidConfig(_)), "{err:?}");
     }
 }

@@ -8,26 +8,27 @@
 //! * **plan** ([`SweepPlan`]) — enumerate the grid in one canonical
 //!   order, carry the config fingerprint, and partition the cells into
 //!   N deterministic shards by stable cell key;
-//! * **executor** ([`InProcessExecutor`]) — actually run cells: a
-//!   thread pool with per-cell
+//! * **executor** ([`InProcessExecutor`]) — the one runner: it derives
+//!   the plan from its config and runs one shard of it (or the
+//!   unsharded whole) on a thread pool with per-cell
 //!   [`catch_unwind`](std::panic::catch_unwind) panic isolation,
 //!   bounded deterministic retry, cooperative deadlines (see
-//!   [`CancelToken`](hotspot_trees::CancelToken)), and an append-only
-//!   checkpoint journal, restricted to one shard of the plan. A
-//!   multi-process run is N processes each executing one shard
-//!   (`--shards N --shard I` on a sweep binary), each journaling its
-//!   own checkpoint plus a manifest sidecar;
+//!   [`CancelToken`](hotspot_trees::CancelToken)), and an optional
+//!   append-only checkpoint journal. A multi-process run is N
+//!   processes each executing one shard (`--shards N --shard I` on a
+//!   sweep binary), each journaling its own checkpoint plus a manifest
+//!   sidecar;
 //! * **collector** ([`merge_shards`]) — validate that every shard
-//!   belongs to the same configuration (checkpoint fingerprints, and
+//!   belongs to the same configuration (checkpoint headers, and
 //!   manifest sidecars when present) and merge the shards back into a
 //!   single [`SweepResult`] whose deterministic artifacts are
 //!   byte-identical to a single-process run of the same config
 //!   (`--shards N --merge`).
 //!
-//! The historic entry points [`run_sweep`] and [`run_sweep_resumable`]
-//! remain as thin wrappers over plan + execute + collect, so existing
-//! callers keep their exact semantics (including crash-consistent
-//! resume and the [`SweepHealth`] triage report).
+//! Resume and merge bind a journal to its sweep through one check,
+//! [`CheckpointHeader::check`](crate::checkpoint::CheckpointHeader::check).
+//! [`run_sweep`] is the in-memory call: the executor over the
+//! unsharded whole with no journal.
 
 pub mod collector;
 pub mod executor;
@@ -40,10 +41,8 @@ pub use plan::{CellKey, ShardSpec, SweepPlan};
 use crate::context::ForecastContext;
 use crate::evaluate::EvalRecord;
 use crate::models::ModelSpec;
-use hotspot_core::error::Result as CoreResult;
 use hotspot_trees::SplitStrategy;
 use rand::splitmix64;
-use std::path::Path;
 use std::time::Duration;
 
 /// The paper's Table III grid values.
@@ -282,18 +281,7 @@ impl SweepHealth {
     pub fn from_cells(cells: &[SweepCell]) -> Self {
         let mut health = SweepHealth::default();
         for c in cells {
-            match c.outcome {
-                CellOutcome::Evaluated(_) => health.evaluated += 1,
-                CellOutcome::Empty => health.skipped += 1,
-                CellOutcome::Failed { .. } => health.errored += 1,
-                CellOutcome::TimedOut { .. } => health.timed_out += 1,
-            }
-            if c.attempts > 1 && c.outcome.record().is_some() {
-                health.retried += 1;
-            }
-            if c.resumed {
-                health.resumed += 1;
-            }
+            health.tally(c);
         }
         let mut by_time: Vec<&SweepCell> = cells.iter().filter(|c| !c.resumed).collect();
         by_time.sort_by_key(|c| std::cmp::Reverse(c.elapsed_ms));
@@ -303,6 +291,37 @@ impl SweepHealth {
             .map(|c| (c.model, c.t, c.h, c.w, c.elapsed_ms))
             .collect();
         health
+    }
+
+    /// Count one finished cell: its outcome, whether a retry rescued
+    /// it, and whether a checkpoint supplied it. The one place this
+    /// rule lives; the executor's `sweep.cells.*` counters tally each
+    /// cell through it too.
+    fn tally(&mut self, cell: &SweepCell) {
+        match cell.outcome {
+            CellOutcome::Evaluated(_) => self.evaluated += 1,
+            CellOutcome::Empty => self.skipped += 1,
+            CellOutcome::Failed { .. } => self.errored += 1,
+            CellOutcome::TimedOut { .. } => self.timed_out += 1,
+        }
+        if cell.attempts > 1 && cell.outcome.record().is_some() {
+            self.retried += 1;
+        }
+        if cell.resumed {
+            self.resumed += 1;
+        }
+    }
+
+    /// Each tally as the `sweep.cells.*` counter that reports it.
+    fn counters(&self) -> [(&'static str, usize); 6] {
+        [
+            ("sweep.cells.evaluated", self.evaluated),
+            ("sweep.cells.empty", self.skipped),
+            ("sweep.cells.failed", self.errored),
+            ("sweep.cells.timeout", self.timed_out),
+            ("sweep.cells.retried", self.retried),
+            ("sweep.cells.resumed", self.resumed),
+        ]
     }
 
     /// Whether every cell either evaluated or was legitimately empty.
@@ -331,7 +350,7 @@ pub struct SweepResult {
 
 impl SweepResult {
     /// Assemble a result from finished cells (computes the health
-    /// report) — the collector step shared by every execution path.
+    /// report) — the step the executor and the collector share.
     pub fn from_cells(cells: Vec<SweepCell>) -> Self {
         let health = SweepHealth::from_cells(&cells);
         SweepResult { cells, health }
@@ -398,38 +417,9 @@ impl SweepResult {
 /// cells degrade to structured outcomes; the sweep itself always
 /// completes.
 pub fn run_sweep(ctx: &ForecastContext, config: &SweepConfig) -> SweepResult {
-    run_sweep_resumable(ctx, config, None)
-        .expect("in-memory sweep performs no I/O and cannot fail")
-}
-
-/// Run the sweep, journaling each finished cell to `checkpoint` (when
-/// given). If the checkpoint file already exists its cells are adopted
-/// instead of recomputed, so re-running after an interruption finishes
-/// only the remainder — and, because cells are deterministic under the
-/// config seed, produces the same records an uninterrupted run would.
-///
-/// This is the plan → execute → collect pipeline specialised to one
-/// in-process executor covering the full (unsharded) plan.
-///
-/// # Errors
-///
-/// Checkpoint I/O and validation errors (wrong config fingerprint,
-/// grid shape disagreeing with the plan, corrupt non-final lines). The
-/// sweep computation itself never errors.
-pub fn run_sweep_resumable(
-    ctx: &ForecastContext,
-    config: &SweepConfig,
-    checkpoint: Option<&Path>,
-) -> CoreResult<SweepResult> {
-    let plan = SweepPlan::new(config);
-    let executor = InProcessExecutor {
-        ctx,
-        config,
-        shard: ShardSpec::FULL,
-        checkpoint: checkpoint.map(Path::to_path_buf),
-        cache: None,
-    };
-    Ok(SweepResult::from_cells(executor.execute(&plan)?))
+    let executor =
+        InProcessExecutor { ctx, config, shard: ShardSpec::FULL, checkpoint: None, cache: None };
+    executor.execute().expect("in-memory sweep performs no I/O and cannot fail")
 }
 
 #[cfg(test)]

@@ -12,12 +12,14 @@ use hotspot::eval::calibration::{brier_score, reliability_curve};
 use hotspot::features::builders::{DailyPercentiles, FeatureBuilder};
 use hotspot::features::tensor_x::feature_name;
 use hotspot::features::windows::WindowSpec;
-use hotspot::forecast::classifier::{fit_and_forecast, ClassifierConfig, ClassifierKind, Representation};
+use hotspot::forecast::classifier::{
+    fit_and_forecast, training_set, ClassifierConfig, ClassifierKind, Representation,
+};
 use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::SweepCache;
 use hotspot::nn::imputer::{ForwardFillImputer, Imputer};
 use hotspot::simnet::{NetworkConfig, SyntheticNetwork};
-use hotspot::trees::{Dataset, DecisionTree, TreeParams};
+use hotspot::trees::{DecisionTree, TreeParams};
 use std::sync::Arc;
 
 fn main() {
@@ -33,31 +35,28 @@ fn main() {
     let (start, end) = busiest_hour_window(&scored.y_hourly, 4);
     println!("busiest 4-hour window of the day: {start:02}:00-{end:02}:00\n");
 
-    // One sweep cache serves this tree and the forests below.
+    // One sweep cache and one RF-F1 configuration serve this tree and
+    // the forests below.
     let cache = Arc::new(SweepCache::default());
+    let cfg = ClassifierConfig {
+        kind: ClassifierKind::Forest,
+        representation: Representation::Percentiles,
+        n_trees: 40,
+        train_days: 10,
+        seed: 3,
+        forest_threads: None,
+        cancel: None,
+        split: Default::default(),
+        cache: Some(Arc::clone(&cache)),
+    };
 
     // --- Inspect a single tree, paper-style: which feature does the
-    // first split use?
+    // first split use? Its rows come from `training_set`, as a forest's
+    // do: the same label days (same weekday first) and sectors.
     let spec = WindowSpec::new(50, 5, 7);
     let builder = DailyPercentiles;
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for d in 0..10usize {
-        let t = spec.t - d;
-        let plane = cache.planes.get_or_build(&builder, &ctx.x, t - spec.h, spec.w);
-        for i in 0..ctx.n_sectors() {
-            let y = ctx.target.get(i, t);
-            if y.is_nan() {
-                continue;
-            }
-            rows.extend_from_slice(plane.row(i));
-            labels.push(y >= 0.5);
-        }
-    }
-    let dim = builder.dim(ctx.x.n_features(), spec.w);
-    let mut data = Dataset::new(rows, dim, labels).expect("finite features");
-    data.balance_weights();
-    let tree = DecisionTree::fit(&data, &TreeParams::paper_tree());
+    let set = training_set(&ctx, &spec, &cfg, &cache).expect("window fits");
+    let tree = DecisionTree::fit_binned(&set.data, set.binned.as_ref(), &TreeParams::paper_tree());
     println!("single tree: {} nodes, depth {}", tree.n_nodes(), tree.depth());
     println!("top splits (breadth-first):");
     for s in tree.describe_splits(5) {
@@ -78,17 +77,6 @@ fn main() {
     print!("{}", tree.render(2, &name_of));
 
     // --- Forest calibration across several forecast days.
-    let cfg = ClassifierConfig {
-        kind: ClassifierKind::Forest,
-        representation: Representation::Percentiles,
-        n_trees: 40,
-        train_days: 10,
-        seed: 3,
-        forest_threads: None,
-        cancel: None,
-        split: Default::default(),
-        cache: Some(Arc::clone(&cache)),
-    };
     let mut all_labels = Vec::new();
     let mut all_probs = Vec::new();
     for t in [40usize, 47, 54, 61, 68] {

@@ -17,14 +17,31 @@
 #   4. a merge over shards journaled under a different seed is
 #      refused, and the refusal names the fingerprint.
 #
-# It also checks that a shard worker marks its stdout as partial and
-# that a bare --shards N (neither --shard nor --merge) is refused.
+# It also checks that a shard worker marks its stdout as partial, that
+# a bare --shards N (neither --shard nor --merge) is refused, and the
+# plain --checkpoint flow the same runner serves: a re-run without
+# --resume exits 2, --resume over the complete journal prints the plain
+# run's stdout, and --resume under another --seed exits 2 naming the
+# fingerprint.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT=target/sweep-shard-smoke
 rm -rf "$OUT"
-mkdir -p "$OUT/single" "$OUT/sharded" "$OUT/mixed"
+mkdir -p "$OUT/single" "$OUT/sharded" "$OUT/mixed" "$OUT/journal"
+
+# expect_refusal LABEL STDERR_FILE CMD... — CMD must exit exactly 2.
+expect_refusal() {
+  local label=$1 stderr=$2
+  shift 2
+  local code=0
+  "$@" > /dev/null 2> "$stderr" || code=$?
+  if [[ $code -ne 2 ]]; then
+    echo "sweep shard smoke: $label exited $code, expected 2" >&2
+    cat "$stderr" >&2
+    exit 1
+  fi
+}
 
 cargo build --release -p hotspot-bench --bin exp_fig09_lift_vs_horizon --bin manifest_check
 
@@ -82,11 +99,8 @@ echo '>>> sweep shard smoke: mixed-fingerprint merge is refused'
 cp "$OUT/sharded/sweep.shard-1-of-3.tsv" "$OUT/sharded/sweep.shard-1-of-3.manifest.json" \
    "$OUT/sharded/sweep.shard-2-of-3.tsv" "$OUT/sharded/sweep.shard-2-of-3.manifest.json" \
    "$OUT/mixed/"
-if "$EXP" "${ARGS[@]}" --shards 3 --merge \
-     --checkpoint "$OUT/mixed/sweep.tsv" > /dev/null 2> "$OUT/mixed/refusal.txt"; then
-  echo 'sweep shard smoke: mixed-fingerprint merge was NOT refused' >&2
-  exit 1
-fi
+expect_refusal 'mixed-fingerprint merge' "$OUT/mixed/refusal.txt" \
+  "$EXP" "${ARGS[@]}" --shards 3 --merge --checkpoint "$OUT/mixed/sweep.tsv"
 grep -q fingerprint "$OUT/mixed/refusal.txt" || {
   echo 'sweep shard smoke: refusal does not mention the fingerprint' >&2
   cat "$OUT/mixed/refusal.txt" >&2
@@ -94,14 +108,33 @@ grep -q fingerprint "$OUT/mixed/refusal.txt" || {
 }
 
 echo '>>> sweep shard smoke: a bare --shards N is refused'
-if "$EXP" "${ARGS[@]}" --shards 3 --checkpoint "$OUT/bare.tsv" \
-     > /dev/null 2> "$OUT/bare.txt"; then
-  echo 'sweep shard smoke: bare --shards 3 was NOT refused' >&2
-  exit 1
-fi
+expect_refusal 'bare --shards 3' "$OUT/bare.txt" \
+  "$EXP" "${ARGS[@]}" --shards 3 --checkpoint "$OUT/bare.tsv"
 grep -q -- '--shard I' "$OUT/bare.txt" && grep -q -- '--merge' "$OUT/bare.txt" || {
   echo 'sweep shard smoke: bare --shards refusal does not name --shard I and --merge' >&2
   cat "$OUT/bare.txt" >&2
+  exit 1
+}
+
+echo '>>> sweep shard smoke: plain --checkpoint run prints the plain stdout'
+"$EXP" "${ARGS[@]}" --checkpoint "$OUT/journal/sweep.tsv" > "$OUT/journal/first.stdout"
+cmp "$OUT/plain.stdout" "$OUT/journal/first.stdout"
+
+echo '>>> sweep shard smoke: re-running onto the journal without --resume exits 2'
+expect_refusal 're-run without --resume' "$OUT/journal/rerun.txt" \
+  "$EXP" "${ARGS[@]}" --checkpoint "$OUT/journal/sweep.tsv"
+
+echo '>>> sweep shard smoke: --resume over the complete journal prints the plain stdout'
+"$EXP" "${ARGS[@]}" --checkpoint "$OUT/journal/sweep.tsv" --resume \
+  > "$OUT/journal/resumed.stdout"
+cmp "$OUT/plain.stdout" "$OUT/journal/resumed.stdout"
+
+echo '>>> sweep shard smoke: --resume under another --seed exits 2 naming the fingerprint'
+expect_refusal '--resume under --seed 8' "$OUT/journal/reseeded.txt" \
+  "$EXP" "${ARGS[@]}" --seed 8 --checkpoint "$OUT/journal/sweep.tsv" --resume
+grep -q fingerprint "$OUT/journal/reseeded.txt" || {
+  echo 'sweep shard smoke: --resume refusal does not mention the fingerprint' >&2
+  cat "$OUT/journal/reseeded.txt" >&2
   exit 1
 }
 

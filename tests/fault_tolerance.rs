@@ -5,13 +5,15 @@
 use hotspot::core::pipeline::ScorePipeline;
 use hotspot::core::tensor::Tensor3;
 use hotspot::core::HOURS_PER_WEEK;
-use hotspot::forecast::checkpoint::{load_checkpoint, CheckpointWriter};
+use hotspot::core::error::Result as CoreResult;
+use hotspot::forecast::checkpoint::{load_checkpoint_sharded, CheckpointWriter};
 use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
 use hotspot::forecast::sweep::{
-    run_sweep, run_sweep_resumable, CellOutcome, FaultPlan, ResiliencePolicy, SweepConfig,
+    run_sweep, CellOutcome, FaultPlan, InProcessExecutor, ResiliencePolicy, ShardSpec, SweepConfig,
+    SweepPlan, SweepResult,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn ctx() -> ForecastContext {
     let catalog = hotspot::core::kpi::KpiCatalog::standard();
@@ -42,6 +44,14 @@ fn config(models: Vec<ModelSpec>) -> SweepConfig {
         resilience: ResiliencePolicy::default(),
         split: Default::default(),
     }
+}
+
+/// The `--checkpoint` run: the unsharded sweep, journaling to `path`
+/// and adopting whatever it already holds.
+fn run_journaled(c: &ForecastContext, cfg: &SweepConfig, path: &Path) -> CoreResult<SweepResult> {
+    let checkpoint = Some(path.to_path_buf());
+    InProcessExecutor { ctx: c, config: cfg, shard: ShardSpec::FULL, checkpoint, cache: None }
+        .execute()
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -126,13 +136,14 @@ fn resume_from_mid_run_checkpoint_matches_uninterrupted_run() {
 
     // Journal the "first half" of the run, as if the process died there.
     let half = n_cells / 2;
-    let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+    let plan = SweepPlan::new(&cfg);
+    let writer = CheckpointWriter::open_sharded(&path, &plan, ShardSpec::FULL).unwrap();
     for cell in &uninterrupted.cells[..half] {
         writer.append(cell).unwrap();
     }
     drop(writer);
 
-    let resumed = run_sweep_resumable(&c, &cfg, Some(&path)).unwrap();
+    let resumed = run_journaled(&c, &cfg, &path).unwrap();
     assert_eq!(resumed.cells.len(), n_cells);
     assert_eq!(resumed.health.resumed, half, "{}", resumed.health.summary());
 
@@ -156,8 +167,8 @@ fn resume_from_mid_run_checkpoint_matches_uninterrupted_run() {
 
     // The resumed run journaled the remaining cells: a further resume
     // recomputes nothing.
-    assert_eq!(load_checkpoint(&path, &cfg).unwrap().len(), n_cells);
-    let third = run_sweep_resumable(&c, &cfg, Some(&path)).unwrap();
+    assert_eq!(load_checkpoint_sharded(&path, &plan, ShardSpec::FULL).unwrap().len(), n_cells);
+    let third = run_journaled(&c, &cfg, &path).unwrap();
     assert_eq!(third.health.resumed, n_cells);
 
     let _ = std::fs::remove_file(&path);
@@ -172,10 +183,10 @@ fn checkpoint_is_bound_to_its_configuration() {
     let path = tmp("fingerprint.tsv");
     let _ = std::fs::remove_file(&path);
 
-    run_sweep_resumable(&c, &cfg, Some(&path)).unwrap();
+    run_journaled(&c, &cfg, &path).unwrap();
     let mut other = cfg.clone();
     other.seed = 99;
-    assert!(run_sweep_resumable(&c, &other, Some(&path)).is_err());
+    assert!(run_journaled(&c, &other, &path).is_err());
 
     let _ = std::fs::remove_file(&path);
 }

@@ -92,17 +92,15 @@ fn run_with_cache(
     cache: &Arc<SweepCache>,
     checkpoint: Option<PathBuf>,
 ) -> SweepResult {
-    let plan = SweepPlan::new(cfg);
-    let cells = InProcessExecutor {
+    InProcessExecutor {
         ctx: ctx(),
         config: cfg,
         shard: ShardSpec::FULL,
         checkpoint,
         cache: Some(Arc::clone(cache)),
     }
-    .execute(&plan)
-    .unwrap();
-    SweepResult::from_cells(cells)
+    .execute()
+    .unwrap()
 }
 
 /// The reference sweep: same config, run against a cache that evicts
@@ -165,7 +163,7 @@ fn sharded_cached_run_merges_to_uncached_single_process() {
                 checkpoint: Some(files.checkpoint.clone()),
                 cache: None,
             }
-            .execute(&plan)
+            .execute()
             .unwrap();
             files
         })

@@ -9,7 +9,9 @@ use hotspot::core::tensor::Tensor3;
 use hotspot::core::HOURS_PER_WEEK;
 use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
-use hotspot::forecast::sweep::{run_sweep_resumable, ResiliencePolicy, SweepConfig};
+use hotspot::forecast::sweep::{
+    run_sweep, InProcessExecutor, ResiliencePolicy, ShardSpec, SweepConfig, SweepResult,
+};
 use hotspot::obs;
 
 fn ctx() -> ForecastContext {
@@ -25,6 +27,16 @@ fn ctx() -> ForecastContext {
     });
     let scored = ScorePipeline::standard().run(&kpis).unwrap();
     ForecastContext::build(&kpis, &scored, Target::BeHotSpot).unwrap()
+}
+
+/// The `--checkpoint` run: the unsharded sweep, journaling to `path`
+/// and adopting whatever it already holds.
+fn run_journaled(c: &ForecastContext, path: &std::path::Path) -> SweepResult {
+    let checkpoint = Some(path.to_path_buf());
+    let config = config();
+    InProcessExecutor { ctx: c, config: &config, shard: ShardSpec::FULL, checkpoint, cache: None }
+        .execute()
+        .unwrap()
 }
 
 fn config() -> SweepConfig {
@@ -57,7 +69,7 @@ fn sweep_metrics_agree_with_health_and_manifest_round_trips() {
     let checkpoint = dir.join("sweep.tsv");
 
     let c = ctx();
-    let result = run_sweep_resumable(&c, &config(), Some(&checkpoint)).unwrap();
+    let result = run_journaled(&c, &checkpoint);
     assert!(result.health.evaluated > 0, "{}", result.health.summary());
 
     // Counters mirror SweepHealth field for field.
@@ -81,7 +93,7 @@ fn sweep_metrics_agree_with_health_and_manifest_round_trips() {
 
     // Resuming the finished checkpoint adopts every cell: the resumed
     // counter advances, but no new cell spans or duration samples.
-    let again = run_sweep_resumable(&c, &config(), Some(&checkpoint)).unwrap();
+    let again = run_journaled(&c, &checkpoint);
     assert_eq!(again.health.resumed, again.cells.len());
     let snap2 = registry.snapshot();
     let count2 = |name: &str| snap2.counters.get(name).copied().unwrap_or(0) as usize;
@@ -130,7 +142,7 @@ fn sweep_metrics_agree_with_health_and_manifest_round_trips() {
         n_trees: 2,
         ..config()
     };
-    let fitted = run_sweep_resumable(&c, &classifiers, None).unwrap();
+    let fitted = run_sweep(&c, &classifiers);
     assert!(fitted.health.evaluated > 0, "{}", fitted.health.summary());
     let snap3 = registry.snapshot();
     let calls = |name: &str| -> u64 {

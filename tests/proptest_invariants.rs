@@ -252,9 +252,11 @@ proptest! {
         cut in 0usize..200,
         n_cells in 1usize..6,
     ) {
-        use hotspot::forecast::checkpoint::{load_checkpoint, CheckpointWriter};
+        use hotspot::forecast::checkpoint::{load_checkpoint_sharded, CheckpointWriter};
         use hotspot::forecast::models::ModelSpec;
-        use hotspot::forecast::sweep::{CellOutcome, ResiliencePolicy, SweepCell, SweepConfig};
+        use hotspot::forecast::sweep::{
+            CellOutcome, ResiliencePolicy, ShardSpec, SweepCell, SweepConfig, SweepPlan,
+        };
 
         let cfg = SweepConfig {
             models: vec![ModelSpec::Average],
@@ -276,7 +278,8 @@ proptest! {
         let path = dir.join(format!("{}-torn.tsv", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let writer = CheckpointWriter::open(&path, &cfg).unwrap();
+        let plan = SweepPlan::new(&cfg);
+        let writer = CheckpointWriter::open_sharded(&path, &plan, ShardSpec::FULL).unwrap();
         for t in 0..n_cells {
             writer.append(&SweepCell {
                 model: ModelSpec::Average,
@@ -297,7 +300,7 @@ proptest! {
         let keep = full.len().saturating_sub(cut).max(header_len);
         std::fs::write(&path, &full[..keep]).unwrap();
 
-        let entries = load_checkpoint(&path, &cfg).unwrap();
+        let entries = load_checkpoint_sharded(&path, &plan, ShardSpec::FULL).unwrap();
         prop_assert!(entries.len() <= n_cells);
         for e in &entries {
             prop_assert_eq!(&e.outcome, &CellOutcome::Empty);

@@ -66,7 +66,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 /// Run every shard of an `n`-way partition in-process, journaling to
 /// shard files under `base`, and return those files.
-fn run_shards(cfg: &SweepConfig, plan: &SweepPlan, base: &Path, n: u64) -> Vec<ShardFiles> {
+fn run_shards(cfg: &SweepConfig, base: &Path, n: u64) -> Vec<ShardFiles> {
     (0..n)
         .map(|index| {
             let shard = ShardSpec { index, count: n };
@@ -78,7 +78,7 @@ fn run_shards(cfg: &SweepConfig, plan: &SweepPlan, base: &Path, n: u64) -> Vec<S
                 checkpoint: Some(files.checkpoint.clone()),
                 cache: None,
             };
-            executor.execute(plan).unwrap();
+            executor.execute().unwrap();
             files
         })
         .collect()
@@ -118,7 +118,7 @@ proptest! {
         let full = run_sweep(ctx(), &cfg);
 
         let dir = scratch_dir(&format!("prop-{case}-{n_shards}"));
-        let files = run_shards(&cfg, &plan, &dir.join("sweep.tsv"), n_shards);
+        let files = run_shards(&cfg, &dir.join("sweep.tsv"), n_shards);
         let merged = merge_shards(&plan, &files).unwrap();
 
         prop_assert_eq!(merged.fingerprint, plan.fingerprint());
@@ -150,7 +150,7 @@ fn killed_worker_resumes_and_remerges_identically() {
     let dir = scratch_dir("killed-worker");
     let base = dir.join("sweep.tsv");
     const N: u64 = 3;
-    let files = run_shards(&cfg, &plan, &base, N);
+    let files = run_shards(&cfg, &base, N);
 
     // Pick a shard with at least 2 cells and tear its journal: keep
     // the header and the first entry, as if the worker died mid-run.
@@ -178,8 +178,8 @@ fn killed_worker_resumes_and_remerges_identically() {
         checkpoint: Some(victim_files.checkpoint.clone()),
         cache: None,
     };
-    let cells = executor.execute(&plan).unwrap();
-    assert_eq!(cells.len(), plan.shard_cells(shard).len());
+    let resumed = executor.execute().unwrap();
+    assert_eq!(resumed.cells.len(), plan.shard_cells(shard).len());
 
     let merged = merge_shards(&plan, &files).unwrap();
     assert_eq!(health_tuple(&merged.result), health_tuple(&full));
@@ -215,7 +215,7 @@ fn mixed_fingerprint_shards_refuse_to_merge() {
         checkpoint: Some(files[0].checkpoint.clone()),
         cache: None,
     }
-    .execute(&plan_a)
+    .execute()
     .unwrap();
     InProcessExecutor {
         ctx: ctx(),
@@ -224,11 +224,61 @@ fn mixed_fingerprint_shards_refuse_to_merge() {
         checkpoint: Some(files[1].checkpoint.clone()),
         cache: None,
     }
-    .execute(&plan_b)
+    .execute()
     .unwrap();
 
     let err = merge_shards(&plan_a, &files).unwrap_err().to_string();
     assert!(err.contains("merge_shards refused"), "hard refusal expected: {err}");
     assert!(err.contains("fingerprint"), "refusal should blame the fingerprint: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resume and merge bind a journal to its sweep through one header
+/// check: hand-editing any one header field makes both refuse, and
+/// both name the field that changed.
+#[test]
+fn resume_and_merge_refuse_each_edited_header_field() {
+    let cfg = config(vec![ModelSpec::Random], vec![20, 24, 28], vec![1, 3], vec![3]);
+    let plan = SweepPlan::new(&cfg);
+    let dir = scratch_dir("edited-header");
+    const N: u64 = 2;
+    let files = run_shards(&cfg, &dir.join("sweep.tsv"), N);
+    let victim = ShardSpec { index: 0, count: N };
+    let journal = &files[0].checkpoint;
+    let original = std::fs::read_to_string(journal).unwrap();
+    let cells = plan.shard_cells(victim).len();
+    let edits = [
+        (
+            "fingerprint",
+            format!("fingerprint={:016x}", plan.fingerprint()),
+            format!("fingerprint={:016x}", plan.fingerprint() ^ 1),
+        ),
+        ("shard", format!("shard={victim}"), format!("shard=1/{N}")),
+        ("cells", format!("cells={cells}"), format!("cells={}", cells + 1)),
+    ];
+    for (field, from, to) in edits {
+        let (header, body) = original.split_once('\n').unwrap();
+        assert!(header.contains(&from), "test premise: {header:?} holds {from}");
+        std::fs::write(journal, format!("{}\n{body}", header.replace(&from, &to))).unwrap();
+        let named = format!("{field} mismatch");
+
+        let resume = InProcessExecutor {
+            ctx: ctx(),
+            config: &cfg,
+            shard: victim,
+            checkpoint: Some(journal.clone()),
+            cache: None,
+        }
+        .execute()
+        .unwrap_err()
+        .to_string();
+        assert!(resume.contains(&named), "resume must name the {field}: {resume}");
+
+        let merge = merge_shards(&plan, &files).unwrap_err().to_string();
+        assert!(merge.contains("merge_shards refused"), "hard refusal expected: {merge}");
+        assert!(merge.contains(&named), "merge must name the {field}: {merge}");
+    }
+    std::fs::write(journal, &original).unwrap();
+    assert!(merge_shards(&plan, &files).is_ok(), "the unedited journals merge");
     std::fs::remove_dir_all(&dir).ok();
 }
