@@ -9,12 +9,13 @@
 //! gradient of the log-loss and applies a Newton leaf step
 //! (`Σg / Σh`), the standard second-order formulation.
 
-use crate::binned::{BinnedDataset, HistPool, NodeHistogram, SplitStrategy, HIST_MIN_NODE_ROWS};
+use crate::binned::{BinnedDataset, SplitStrategy};
 use crate::cancel::CancelToken;
 use crate::dataset::Dataset;
+use crate::split::Criterion;
+use crate::tree::{grow, DecisionTree, MaxFeatures, TreeParams};
 use hotspot_obs as obs;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// GBDT hyper-parameters.
@@ -56,202 +57,40 @@ impl Default for GradientBoostingParams {
     }
 }
 
-/// One node of a regression tree (structure-of-arrays style).
-#[derive(Debug, Clone)]
-enum RegNode {
-    Leaf { value: f64 },
-    Split { feature: usize, threshold: f64, left: usize, right: usize },
-}
-
-#[derive(Debug, Clone)]
-struct RegTree {
-    nodes: Vec<RegNode>,
-}
-
-impl RegTree {
-    fn predict(&self, row: &[f64]) -> f64 {
-        let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                RegNode::Leaf { value } => return *value,
-                RegNode::Split { feature, threshold, left, right } => {
-                    at = if row[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
-    }
-}
-
-/// Builder state for one regression tree fit on gradients/hessians.
-struct RegTreeBuilder<'a> {
-    data: &'a Dataset,
+/// The Newton criterion one boosting round grows its regression tree
+/// toward: accumulands `(gradient, hessian)`, leaves hold the Newton
+/// step `−Σg / Σh`, and a cut scores the XGBoost-style gain (λ = 0).
+struct Newton<'a> {
     grad: &'a [f64],
     hess: &'a [f64],
-    params: &'a GradientBoostingParams,
-    binned: Option<&'a BinnedDataset>,
-    pool: &'a mut HistPool,
-    nodes: Vec<RegNode>,
+    min_samples_split: usize,
 }
 
-impl<'a> RegTreeBuilder<'a> {
-    /// Newton leaf value with L2-free denominator guard.
-    fn leaf_value(&self, indices: &[usize]) -> f64 {
-        let g: f64 = indices.iter().map(|&i| self.grad[i]).sum();
-        let h: f64 = indices.iter().map(|&i| self.hess[i]).sum();
-        if h <= 1e-12 {
-            0.0
-        } else {
-            -g / h
-        }
+impl Criterion for Newton<'_> {
+    fn accumulands(&self) -> (&[f64], &[f64]) {
+        (self.grad, self.hess)
     }
 
-    /// Gain of splitting with child gradient/hessian sums, per the
-    /// standard XGBoost-style formula (λ = 0).
-    fn gain(gl: f64, hl: f64, gr: f64, hr: f64) -> f64 {
+    fn node(&self, (g, h): (f64, f64)) -> (f64, f64) {
+        // Newton leaf value with L2-free denominator guard; splits
+        // need no parent score.
+        (if h <= 1e-12 { 0.0 } else { -g / h }, 0.0)
+    }
+
+    fn stop(&self, rows: usize, _sums: (f64, f64), _score: f64) -> bool {
+        rows < self.min_samples_split
+    }
+
+    fn keeps_histogram(&self, rows: usize, _grad: f64) -> bool {
+        rows >= self.min_samples_split
+    }
+
+    fn split_score(&self, _parent: f64, (gl, hl): (f64, f64), (g, h): (f64, f64)) -> Option<f64> {
+        let (gr, hr) = (g - gl, h - hl);
         let score = |g: f64, h: f64| if h <= 1e-12 { 0.0 } else { g * g / h };
-        0.5 * (score(gl, hl) + score(gr, hr) - score(gl + gr, hl + hr))
-    }
-
-    fn build(
-        &mut self,
-        indices: Vec<usize>,
-        depth: usize,
-        rng: &mut StdRng,
-        hist: Option<NodeHistogram>,
-    ) -> usize {
-        if depth >= self.params.max_depth || indices.len() < self.params.min_samples_split {
-            if let Some(h) = hist {
-                self.pool.release(h);
-            }
-            let v = self.leaf_value(&indices);
-            self.nodes.push(RegNode::Leaf { value: v });
-            return self.nodes.len() - 1;
-        }
-        let d = self.data.n_features();
-        let k = ((d as f64 * self.params.feature_fraction).ceil() as usize).clamp(1, d);
-        let mut feature_pool: Vec<usize> = (0..d).collect();
-        feature_pool.shuffle(rng);
-
-        let use_hist = self.binned.is_some() && indices.len() >= HIST_MIN_NODE_ROWS;
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-        let mut node_hist: Option<NodeHistogram> = None;
-        if use_hist {
-            // Histogram search over (gradient, hessian) bins — gains
-            // at empty-side boundaries collapse to zero and are
-            // skipped by the `gain > 1e-12` guard below.
-            let binned = self.binned.expect("use_hist implies binned");
-            let h = match hist {
-                Some(h) => h,
-                None => {
-                    let mut h = self.pool.acquire(binned);
-                    h.accumulate(binned, &indices, self.grad, self.hess);
-                    h
-                }
-            };
-            for &f in feature_pool.iter().take(k) {
-                let bins = h.feature(binned, f);
-                if bins.len() < 2 {
-                    continue;
-                }
-                let mut total_g = 0.0;
-                let mut total_h = 0.0;
-                for &(g, hs) in bins {
-                    total_g += g;
-                    total_h += hs;
-                }
-                let mut gl = 0.0;
-                let mut hl = 0.0;
-                for (b, &(g, hs)) in bins.iter().enumerate().take(bins.len() - 1) {
-                    gl += g;
-                    hl += hs;
-                    let gain = Self::gain(gl, hl, total_g - gl, total_h - hl);
-                    if best.is_none_or(|(_, _, bg)| gain > bg) && gain > 1e-12 {
-                        best = Some((f, binned.cut(f, b), gain));
-                    }
-                }
-            }
-            node_hist = Some(h);
-        } else {
-            if let Some(h) = hist {
-                self.pool.release(h);
-            }
-            let mut order: Vec<(f64, f64, f64)> = Vec::with_capacity(indices.len());
-            for &f in feature_pool.iter().take(k) {
-                order.clear();
-                for &i in &indices {
-                    order.push((self.data.feature(i, f), self.grad[i], self.hess[i]));
-                }
-                order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-                let total_g: f64 = order.iter().map(|t| t.1).sum();
-                let total_h: f64 = order.iter().map(|t| t.2).sum();
-                let mut gl = 0.0;
-                let mut hl = 0.0;
-                for idx in 0..order.len().saturating_sub(1) {
-                    gl += order[idx].1;
-                    hl += order[idx].2;
-                    if order[idx + 1].0 <= order[idx].0 {
-                        continue;
-                    }
-                    let gain = Self::gain(gl, hl, total_g - gl, total_h - hl);
-                    if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
-                        best = Some((f, 0.5 * (order[idx].0 + order[idx + 1].0), gain));
-                    }
-                }
-            }
-        }
-        let Some((feature, threshold, _)) = best else {
-            if let Some(h) = node_hist {
-                self.pool.release(h);
-            }
-            let v = self.leaf_value(&indices);
-            self.nodes.push(RegNode::Leaf { value: v });
-            return self.nodes.len() - 1;
-        };
-        let (li, ri): (Vec<usize>, Vec<usize>) =
-            indices.into_iter().partition(|&i| self.data.feature(i, feature) <= threshold);
-
-        // Subtraction trick: scan the smaller child, derive the larger
-        // as parent − smaller (boosting trees are shallow, so at most
-        // `max_depth` sibling tables are ever alive).
-        let mut left_hist: Option<NodeHistogram> = None;
-        let mut right_hist: Option<NodeHistogram> = None;
-        if let Some(mut parent) = node_hist {
-            let eligible = |child: &[usize]| {
-                depth + 1 < self.params.max_depth
-                    && child.len() >= self.params.min_samples_split
-                    && child.len() >= HIST_MIN_NODE_ROWS
-            };
-            let left_small = li.len() <= ri.len();
-            let (small, large) = if left_small { (&li, &ri) } else { (&ri, &li) };
-            if eligible(large) {
-                let binned = self.binned.expect("hist implies binned");
-                let mut small_hist = self.pool.acquire(binned);
-                small_hist.accumulate(binned, small, self.grad, self.hess);
-                parent.subtract(&small_hist);
-                let small_hist = if eligible(small) {
-                    Some(small_hist)
-                } else {
-                    self.pool.release(small_hist);
-                    None
-                };
-                if left_small {
-                    left_hist = small_hist;
-                    right_hist = Some(parent);
-                } else {
-                    left_hist = Some(parent);
-                    right_hist = small_hist;
-                }
-            } else {
-                self.pool.release(parent);
-            }
-        }
-
-        let node = self.nodes.len();
-        self.nodes.push(RegNode::Leaf { value: 0.0 }); // placeholder
-        let left = self.build(li, depth + 1, rng, left_hist);
-        let right = self.build(ri, depth + 1, rng, right_hist);
-        self.nodes[node] = RegNode::Split { feature, threshold, left, right };
-        node
+        let gain = 0.5 * (score(gl, hl) + score(gr, hr) - score(gl + gr, hl + hr));
+        // Cuts at empty-side boundaries collapse to zero gain.
+        (gain > 1e-12).then_some(gain)
     }
 }
 
@@ -259,7 +98,7 @@ impl<'a> RegTreeBuilder<'a> {
 #[derive(Debug, Clone)]
 pub struct GradientBoosting {
     base_score: f64,
-    trees: Vec<RegTree>,
+    trees: Vec<DecisionTree>,
     learning_rate: f64,
     n_features: usize,
 }
@@ -305,8 +144,17 @@ impl GradientBoosting {
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
         let mut trees = Vec::with_capacity(params.n_rounds);
+        // Every round grows through the CART builder: a depth-capped
+        // tree over all rows, `feature_fraction` of the features per
+        // node, and one feature-sampling stream across rounds.
+        let tree_params = TreeParams {
+            max_features: MaxFeatures::Fraction(params.feature_fraction),
+            min_weight_fraction: 0.0,
+            max_depth: Some(params.max_depth),
+            seed: params.seed,
+            split: params.split,
+        };
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut pool = HistPool::new();
 
         for _round in 0..params.n_rounds {
             if params.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
@@ -319,19 +167,11 @@ impl GradientBoosting {
                 grad[i] = w * (p - y);
                 hess[i] = w * (p * (1.0 - p)).max(1e-9);
             }
-            let mut builder = RegTreeBuilder {
-                data,
-                grad: &grad,
-                hess: &hess,
-                params,
-                binned,
-                pool: &mut pool,
-                nodes: Vec::new(),
-            };
-            builder.build(all.clone(), 0, &mut rng, None);
-            let tree = RegTree { nodes: builder.nodes };
+            let newton =
+                Newton { grad: &grad, hess: &hess, min_samples_split: params.min_samples_split };
+            let tree = grow(data, binned, all.clone(), &tree_params, &newton, &mut rng);
             for (i, r) in raw.iter_mut().enumerate() {
-                *r += params.learning_rate * tree.predict(data.row(i));
+                *r += params.learning_rate * tree.leaf_value(data.row(i));
             }
             trees.push(tree);
         }
@@ -352,7 +192,7 @@ impl GradientBoosting {
         assert_eq!(row.len(), self.n_features, "feature count mismatch");
         let mut raw = self.base_score;
         for t in &self.trees {
-            raw += self.learning_rate * t.predict(row);
+            raw += self.learning_rate * t.leaf_value(row);
         }
         sigmoid(raw)
     }

@@ -1,5 +1,6 @@
-//! Weighted-Gini split search for one node: the exact sorted scan and
-//! the histogram bin scan (see [`crate::binned`]).
+//! Split search for one node, generic over the [`Criterion`] a tree
+//! grows toward: the exact sorted scan and the histogram bin scans
+//! (see [`crate::binned`]).
 
 use crate::binned::{BinnedDataset, NodeHistogram};
 use crate::dataset::Dataset;
@@ -11,6 +12,93 @@ pub fn gini(p: f64) -> f64 {
     2.0 * p * (1.0 - p)
 }
 
+/// What one tree grows toward. The builder in [`crate::tree`] is
+/// monomorphised over it: CART classification uses [`Gini`], each
+/// gradient-boosting round a Newton criterion (`crate::gbdt`).
+///
+/// Every node statistic is a pair of sums of two per-row
+/// accumulands, `(Σa, Σb)` — the pair a [`NodeHistogram`] holds per
+/// bin.
+pub(crate) trait Criterion {
+    /// The per-row accumulands `(a, b)`, indexed by row.
+    fn accumulands(&self) -> (&[f64], &[f64]);
+    /// A node's leaf value and the score its splits are measured
+    /// against, from its sums.
+    fn node(&self, sums: (f64, f64)) -> (f64, f64);
+    /// Whether a node of `rows` rows with these sums and score is a
+    /// leaf (the depth cap aside).
+    fn stop(&self, rows: usize, sums: (f64, f64), score: f64) -> bool;
+    /// Whether a child of `rows` rows whose cut routed it a first sum
+    /// of `a` may split further, and so is worth a histogram.
+    fn keeps_histogram(&self, rows: usize, a: f64) -> bool;
+    /// The score of the cut that routes `left` of the feature's
+    /// `total` to the left; `None` when the cut is inadmissible.
+    fn split_score(&self, parent: f64, left: (f64, f64), total: (f64, f64)) -> Option<f64>;
+}
+
+/// The CART classification criterion (Sec. IV-D): accumulands
+/// `(weight, weight · label)`, leaves hold the weighted positive
+/// fraction, and a cut scores its weight-scaled Gini decrease
+/// `w · (imp_parent − (wₗ/w)·impₗ − (wᵣ/w)·impᵣ)` — comparable across
+/// nodes for importance accounting.
+pub(crate) struct Gini<'a> {
+    weights: &'a [f64],
+    pos_weights: Vec<f64>,
+    /// Nodes lighter than this are leaves.
+    min_weight: f64,
+}
+
+impl<'a> Gini<'a> {
+    /// The criterion for fitting `data` with a `min_weight` stop.
+    pub fn new(data: &'a Dataset, min_weight: f64) -> Self {
+        let pos_weights = (0..data.n_samples())
+            .map(|i| if data.label(i) { data.weight(i) } else { 0.0 })
+            .collect();
+        Gini { weights: data.weights(), pos_weights, min_weight }
+    }
+}
+
+impl Criterion for Gini<'_> {
+    fn accumulands(&self) -> (&[f64], &[f64]) {
+        (self.weights, &self.pos_weights)
+    }
+
+    fn node(&self, (total, pos): (f64, f64)) -> (f64, f64) {
+        let proba = if total <= 0.0 { 0.5 } else { pos / total };
+        (proba, gini(proba))
+    }
+
+    fn stop(&self, rows: usize, (weight, _): (f64, f64), impurity: f64) -> bool {
+        weight < self.min_weight || impurity <= 0.0 || rows < 2
+    }
+
+    fn keeps_histogram(&self, _rows: usize, weight: f64) -> bool {
+        weight >= self.min_weight
+    }
+
+    fn split_score(
+        &self,
+        impurity: f64,
+        (left_w, left_pos): (f64, f64),
+        (total_w, total_pos): (f64, f64),
+    ) -> Option<f64> {
+        // Empty sides are skipped; this also absorbs the tiny negative
+        // weights a parent-minus-sibling subtraction can leave in bins
+        // the node never touched. Zero-gain cuts stay admissible:
+        // greedy CART must still partition XOR-like nodes where every
+        // single split has zero immediate gain (the builder guards on
+        // node purity, and every split strictly shrinks both sides, so
+        // recursion terminates).
+        let right_w = total_w - left_w;
+        if left_w <= 0.0 || right_w <= 0.0 {
+            return None;
+        }
+        let imp_left = gini(left_pos / left_w);
+        let imp_right = gini((total_pos - left_pos) / right_w);
+        Some(total_w * (impurity - (left_w / total_w) * imp_left - (right_w / total_w) * imp_right))
+    }
+}
+
 /// The outcome of a split search on one feature.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitCandidate {
@@ -18,19 +106,20 @@ pub struct SplitCandidate {
     pub feature: usize,
     /// Decision threshold: samples with `value <= threshold` go left.
     pub threshold: f64,
-    /// Weighted impurity decrease achieved.
+    /// The criterion's score of the cut (for Gini, the weighted
+    /// impurity decrease achieved).
     pub decrease: f64,
-    /// Total weight routed left.
+    /// Total weight (first accumuland) routed left.
     pub left_weight: f64,
-    /// Total weight routed right.
+    /// Total weight (first accumuland) routed right.
     pub right_weight: f64,
 }
 
 /// Scratch buffers reused across split searches, so fitting a deep
 /// tree does not allocate per node.
 #[derive(Debug, Default)]
-pub struct SplitScratch {
-    order: Vec<(f64, f64, f64)>, // (value, weight, positive_weight)
+pub(crate) struct SplitScratch {
+    order: Vec<(f64, f64, f64)>, // (value, a, b)
     bins: Vec<(f64, f64)>,       // per-feature histogram scratch
     /// Split searches performed through this scratch. The tree builder
     /// flushes the tally to the `trees.split_evaluations` counter once
@@ -38,103 +127,67 @@ pub struct SplitScratch {
     pub n_evaluations: u64,
 }
 
-impl SplitScratch {
-    /// Fresh scratch space.
-    pub fn new() -> Self {
-        Self::default()
+/// Keep the best-scoring cut: the first of equal scores wins.
+fn consider(best: &mut Option<SplitCandidate>, candidate: SplitCandidate) {
+    if best.is_none_or(|b| candidate.decrease > b.decrease) {
+        *best = Some(candidate);
     }
 }
 
-/// Find the best threshold on `feature` over the node's samples.
-///
-/// Returns `None` when the feature is constant over the node or no
-/// threshold produces two non-empty sides. `node_impurity` is the
-/// parent's Gini; the returned `decrease` is
-/// `w · (imp_parent − (wₗ/w)·impₗ − (wᵣ/w)·impᵣ)` (weight-scaled so
-/// candidates are comparable across nodes for importance accounting).
-pub fn best_split_on_feature(
+/// Find the best threshold on `feature` over the node's rows by
+/// sorting them. `None` when the feature is constant over the node or
+/// no cut is admissible. Thresholds are midpoints between adjacent
+/// distinct values, as CART implementations do.
+pub(crate) fn best_split_on_feature<C: Criterion>(
+    criterion: &C,
     data: &Dataset,
     indices: &[usize],
     feature: usize,
-    node_impurity: f64,
+    parent: f64,
     scratch: &mut SplitScratch,
 ) -> Option<SplitCandidate> {
     scratch.n_evaluations += 1;
+    let (a, b) = criterion.accumulands();
     let order = &mut scratch.order;
     order.clear();
-    order.reserve(indices.len());
-    for &i in indices {
-        let w = data.weight(i);
-        order.push((data.feature(i, feature), w, if data.label(i) { w } else { 0.0 }));
-    }
+    order.extend(indices.iter().map(|&i| (data.feature(i, feature), a[i], b[i])));
     // Features are guaranteed finite by Dataset, so a total order exists.
-    order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+    order.sort_unstable_by(|x, y| x.0.partial_cmp(&y.0).expect("finite features"));
 
-    let total_w: f64 = order.iter().map(|t| t.1).sum();
-    let total_pos: f64 = order.iter().map(|t| t.2).sum();
-    if total_w <= 0.0 {
-        return None;
-    }
-
-    let mut best: Option<SplitCandidate> = None;
-    let mut left_w = 0.0;
-    let mut left_pos = 0.0;
-    for idx in 0..order.len().saturating_sub(1) {
-        let (value, w, pw) = order[idx];
-        left_w += w;
-        left_pos += pw;
-        let next_value = order[idx + 1].0;
+    let total: (f64, f64) = (order.iter().map(|t| t.1).sum(), order.iter().map(|t| t.2).sum());
+    let mut best = None;
+    let mut left = (0.0, 0.0);
+    for pair in order.windows(2) {
+        let (value, wa, wb) = pair[0];
+        let next_value = pair[1].0;
+        left.0 += wa;
+        left.1 += wb;
         if next_value <= value {
             // No threshold can separate equal values.
             continue;
         }
-        let right_w = total_w - left_w;
-        if left_w <= 0.0 || right_w <= 0.0 {
-            continue;
-        }
-        let right_pos = total_pos - left_pos;
-        let imp_left = gini(left_pos / left_w);
-        let imp_right = gini(right_pos / right_w);
-        let decrease = total_w
-            * (node_impurity - (left_w / total_w) * imp_left - (right_w / total_w) * imp_right);
-        if best.is_none_or(|b| decrease > b.decrease) {
-            best = Some(SplitCandidate {
-                feature,
-                // Midpoint threshold, as CART implementations do.
-                threshold: 0.5 * (value + next_value),
-                decrease,
-                left_weight: left_w,
-                right_weight: right_w,
-            });
+        if let Some(score) = criterion.split_score(parent, left, total) {
+            let threshold = 0.5 * (value + next_value);
+            consider(&mut best, candidate(feature, threshold, score, left, total));
         }
     }
-    // Zero-gain candidates are returned too: greedy CART must still
-    // partition XOR-like nodes where every single split has zero
-    // immediate gain (callers guard on node purity, and every split
-    // strictly shrinks both sides, so recursion terminates).
     best
 }
 
 /// Histogram counterpart of [`best_split_on_feature`]: walk the
-/// feature's accumulated `(weight, positive_weight)` bins instead of
-/// sorting the node's rows — `O(bins)` after the `O(n · d)`
+/// feature's accumulated bins in the node's [`NodeHistogram`] instead
+/// of sorting the node's rows — `O(bins)` after the `O(n · d)`
 /// accumulation the caller already paid.
-///
-/// Candidate cuts sit between adjacent bins; the threshold is the
-/// binned dataset's raw-value cut there, so training rows route
-/// exactly as `value <= threshold` demands. Empty-side boundaries are
-/// skipped with the same `left_w / right_w` guards as the exact scan
-/// (this also absorbs the tiny negative weights a parent-minus-sibling
-/// subtraction can leave in bins the node never touched).
-pub fn best_split_on_feature_hist(
+pub(crate) fn best_split_on_feature_hist<C: Criterion>(
+    criterion: &C,
     binned: &BinnedDataset,
     hist: &NodeHistogram,
     feature: usize,
-    node_impurity: f64,
+    parent: f64,
     scratch: &mut SplitScratch,
 ) -> Option<SplitCandidate> {
     scratch.n_evaluations += 1;
-    scan_bins(binned, feature, hist.feature(binned, feature), node_impurity)
+    scan_bins(criterion, binned, feature, hist.feature(binned, feature), parent)
 }
 
 /// Histogram search without a prebuilt [`NodeHistogram`]: accumulate
@@ -143,15 +196,17 @@ pub fn best_split_on_feature_hist(
 /// features, one `O(n)` pass per evaluated feature beats building the
 /// full `d`-feature table that the subtraction trick needs.
 ///
-/// `weights` and `pos_weights` are node-aligned (`weights[j]` pairs
-/// with `indices[j]`), gathered once per node by the caller.
-pub fn best_split_on_feature_hist_direct(
+/// `a` and `b` are node-aligned (`a[j]` pairs with `indices[j]`),
+/// gathered once per node by the caller.
+#[allow(clippy::too_many_arguments)] // a criterion, a node, and a feature
+pub(crate) fn best_split_on_feature_hist_direct<C: Criterion>(
+    criterion: &C,
     binned: &BinnedDataset,
     indices: &[usize],
-    weights: &[f64],
-    pos_weights: &[f64],
+    a: &[f64],
+    b: &[f64],
     feature: usize,
-    node_impurity: f64,
+    parent: f64,
     scratch: &mut SplitScratch,
 ) -> Option<SplitCandidate> {
     scratch.n_evaluations += 1;
@@ -161,57 +216,58 @@ pub fn best_split_on_feature_hist_direct(
     }
     scratch.bins.clear();
     scratch.bins.resize(n_bins, (0.0, 0.0));
-    binned.accumulate_feature(feature, indices, weights, pos_weights, &mut scratch.bins);
-    scan_bins(binned, feature, &scratch.bins, node_impurity)
+    binned.accumulate_feature(feature, indices, a, b, &mut scratch.bins);
+    scan_bins(criterion, binned, feature, &scratch.bins, parent)
 }
 
 /// Walk one feature's accumulated bins for the best cut — shared by
 /// the table-backed and direct histogram searches, so both produce
-/// bit-identical candidates from identical bin contents.
-fn scan_bins(
+/// bit-identical candidates from identical bin contents. Candidate
+/// cuts sit between adjacent bins; the threshold is the binned
+/// dataset's raw-value cut there, so training rows route exactly as
+/// `value <= threshold` demands.
+fn scan_bins<C: Criterion>(
+    criterion: &C,
     binned: &BinnedDataset,
     feature: usize,
     bins: &[(f64, f64)],
-    node_impurity: f64,
+    parent: f64,
 ) -> Option<SplitCandidate> {
     if bins.len() < 2 {
         return None;
     }
-    let mut total_w = 0.0;
-    let mut total_pos = 0.0;
-    for &(w, p) in bins {
-        total_w += w;
-        total_pos += p;
+    let mut total = (0.0, 0.0);
+    for &(a, b) in bins {
+        total.0 += a;
+        total.1 += b;
     }
-    if total_w <= 0.0 {
-        return None;
-    }
-    let mut best: Option<SplitCandidate> = None;
-    let mut left_w = 0.0;
-    let mut left_pos = 0.0;
-    for (b, &(w, p)) in bins.iter().enumerate().take(bins.len() - 1) {
-        left_w += w;
-        left_pos += p;
-        let right_w = total_w - left_w;
-        if left_w <= 0.0 || right_w <= 0.0 {
-            continue;
-        }
-        let right_pos = total_pos - left_pos;
-        let imp_left = gini(left_pos / left_w);
-        let imp_right = gini(right_pos / right_w);
-        let decrease = total_w
-            * (node_impurity - (left_w / total_w) * imp_left - (right_w / total_w) * imp_right);
-        if best.is_none_or(|bst| decrease > bst.decrease) {
-            best = Some(SplitCandidate {
-                feature,
-                threshold: binned.cut(feature, b),
-                decrease,
-                left_weight: left_w,
-                right_weight: right_w,
-            });
+    let mut best = None;
+    let mut left = (0.0, 0.0);
+    for (bin, &(a, b)) in bins.iter().enumerate().take(bins.len() - 1) {
+        left.0 += a;
+        left.1 += b;
+        if let Some(score) = criterion.split_score(parent, left, total) {
+            let threshold = binned.cut(feature, bin);
+            consider(&mut best, candidate(feature, threshold, score, left, total));
         }
     }
     best
+}
+
+fn candidate(
+    feature: usize,
+    threshold: f64,
+    decrease: f64,
+    left: (f64, f64),
+    total: (f64, f64),
+) -> SplitCandidate {
+    SplitCandidate {
+        feature,
+        threshold,
+        decrease,
+        left_weight: left.0,
+        right_weight: total.0 - left.0,
+    }
 }
 
 #[cfg(test)]
@@ -241,8 +297,8 @@ mod tests {
         let d = separable();
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
-        let mut scratch = SplitScratch::new();
-        let s = best_split_on_feature(&d, &idx, 0, imp, &mut scratch).unwrap();
+        let mut scratch = SplitScratch::default();
+        let s = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch).unwrap();
         assert_eq!(s.feature, 0);
         assert!((s.threshold - 2.5).abs() < 1e-12);
         // Perfect split: decrease = total_w × parent impurity.
@@ -255,8 +311,8 @@ mod tests {
     fn constant_feature_yields_none() {
         let d = separable();
         let idx: Vec<usize> = (0..4).collect();
-        let mut scratch = SplitScratch::new();
-        assert!(best_split_on_feature(&d, &idx, 1, 0.5, &mut scratch).is_none());
+        let mut scratch = SplitScratch::default();
+        assert!(best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 1, 0.5, &mut scratch).is_none());
     }
 
     #[test]
@@ -265,8 +321,8 @@ mod tests {
         // does, the best candidate carries zero decrease.
         let d = Dataset::new(vec![1.0, 2.0, 3.0], 1, vec![true, true, true]).unwrap();
         let idx = vec![0, 1, 2];
-        let mut scratch = SplitScratch::new();
-        let s = best_split_on_feature(&d, &idx, 0, gini(1.0), &mut scratch).unwrap();
+        let mut scratch = SplitScratch::default();
+        let s = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, gini(1.0), &mut scratch).unwrap();
         assert!(s.decrease.abs() < 1e-12);
     }
 
@@ -284,18 +340,18 @@ mod tests {
         d.set_weights(vec![0.01, 0.01, 1.0, 1.0, 5.0]);
         let idx: Vec<usize> = (0..5).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
-        let mut scratch = SplitScratch::new();
-        let s = best_split_on_feature(&d, &idx, 0, imp, &mut scratch).unwrap();
+        let mut scratch = SplitScratch::default();
+        let s = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch).unwrap();
         assert!(s.threshold > 4.0 && s.threshold < 10.0, "threshold {}", s.threshold);
     }
 
-    /// Accumulate a node histogram over `indices` with the dataset's
-    /// weights, mirroring what the tree builder does.
+    /// Accumulate a node histogram over `indices` with the Gini
+    /// accumulands, mirroring what the tree builder does.
     fn node_hist(d: &Dataset, b: &BinnedDataset, indices: &[usize]) -> NodeHistogram {
-        let pos: Vec<f64> =
-            (0..d.n_samples()).map(|i| if d.label(i) { d.weight(i) } else { 0.0 }).collect();
+        let criterion = Gini::new(d, 0.0);
+        let (w, pos) = criterion.accumulands();
         let mut h = NodeHistogram::zeroed(b);
-        h.accumulate(b, indices, d.weights(), &pos);
+        h.accumulate(b, indices, w, pos);
         h
     }
 
@@ -306,16 +362,16 @@ mod tests {
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
         let h = node_hist(&d, &b, &idx);
-        let mut scratch = SplitScratch::new();
-        let exact = best_split_on_feature(&d, &idx, 0, imp, &mut scratch).unwrap();
-        let hist = best_split_on_feature_hist(&b, &h, 0, imp, &mut scratch).unwrap();
+        let mut scratch = SplitScratch::default();
+        let exact = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch).unwrap();
+        let hist = best_split_on_feature_hist(&Gini::new(&d, 0.0), &b, &h, 0, imp, &mut scratch).unwrap();
         assert_eq!(hist.feature, exact.feature);
         assert_eq!(hist.threshold, exact.threshold);
         assert_eq!(hist.decrease, exact.decrease);
         assert_eq!(hist.left_weight, exact.left_weight);
         assert_eq!(hist.right_weight, exact.right_weight);
         // Constant feature: no candidate in either mode.
-        assert!(best_split_on_feature_hist(&b, &h, 1, imp, &mut scratch).is_none());
+        assert!(best_split_on_feature_hist(&Gini::new(&d, 0.0), &b, &h, 1, imp, &mut scratch).is_none());
         assert_eq!(scratch.n_evaluations, 3, "hist searches count as evaluations too");
     }
 
@@ -326,12 +382,12 @@ mod tests {
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
         let h = node_hist(&d, &b, &idx);
-        let pos: Vec<f64> =
-            (0..d.n_samples()).map(|i| if d.label(i) { d.weight(i) } else { 0.0 }).collect();
-        let mut scratch = SplitScratch::new();
-        let table = best_split_on_feature_hist(&b, &h, 0, imp, &mut scratch).unwrap();
+        let criterion = Gini::new(&d, 0.0);
+        let (w, pos) = criterion.accumulands();
+        let mut scratch = SplitScratch::default();
+        let table = best_split_on_feature_hist(&criterion, &b, &h, 0, imp, &mut scratch).unwrap();
         let direct =
-            best_split_on_feature_hist_direct(&b, &idx, d.weights(), &pos, 0, imp, &mut scratch)
+            best_split_on_feature_hist_direct(&criterion, &b, &idx, w, pos, 0, imp, &mut scratch)
                 .unwrap();
         assert_eq!(direct, table);
         assert_eq!(scratch.n_evaluations, 2);
@@ -352,8 +408,8 @@ mod tests {
         let idx = vec![1, 4]; // values 2.0 (pos) and 5.0 (neg)
         let imp = gini(d.weighted_positive_fraction(&idx));
         let h = node_hist(&d, &b, &idx);
-        let mut scratch = SplitScratch::new();
-        let s = best_split_on_feature_hist(&b, &h, 0, imp, &mut scratch).unwrap();
+        let mut scratch = SplitScratch::default();
+        let s = best_split_on_feature_hist(&Gini::new(&d, 0.0), &b, &h, 0, imp, &mut scratch).unwrap();
         assert!(s.left_weight > 0.0 && s.right_weight > 0.0);
         // The first boundary achieving the perfect partition wins.
         assert_eq!(s.threshold, 2.5);
@@ -365,8 +421,8 @@ mod tests {
         let d = Dataset::new(vec![1.0, 1.0, 1.0, 2.0], 1, vec![true, true, false, false]).unwrap();
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(0.5);
-        let mut scratch = SplitScratch::new();
-        if let Some(s) = best_split_on_feature(&d, &idx, 0, imp, &mut scratch) {
+        let mut scratch = SplitScratch::default();
+        if let Some(s) = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch) {
             assert!(s.left_weight > 0.0 && s.right_weight > 0.0);
             assert!((1.0..2.0).contains(&s.threshold));
         }

@@ -9,8 +9,8 @@
 use crate::binned::{BinnedDataset, HistPool, NodeHistogram, SplitStrategy, HIST_MIN_NODE_ROWS};
 use crate::dataset::Dataset;
 use crate::split::{
-    best_split_on_feature, best_split_on_feature_hist, best_split_on_feature_hist_direct, gini,
-    SplitCandidate, SplitScratch,
+    best_split_on_feature, best_split_on_feature_hist, best_split_on_feature_hist_direct,
+    Criterion, Gini, SplitCandidate, SplitScratch,
 };
 use hotspot_obs as obs;
 use rand::rngs::StdRng;
@@ -99,11 +99,13 @@ impl Default for TreeParams {
     }
 }
 
-/// A fitted tree node.
+/// A fitted tree node. A leaf holds the criterion's leaf value: the
+/// positive-class probability for CART, a Newton step for a boosting
+/// round.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
-        proba: f64,
+        value: f64,
     },
     Split {
         feature: usize,
@@ -167,56 +169,23 @@ impl DecisionTree {
         root: Vec<usize>,
         params: &TreeParams,
     ) -> Self {
-        assert!(!root.is_empty(), "cannot fit on an empty root multiset");
-        if let Some(b) = binned {
-            assert_eq!(b.n_rows(), data.n_samples(), "binned view row mismatch");
-            assert_eq!(b.n_features(), data.n_features(), "binned view feature mismatch");
-        }
         let min_weight = params.min_weight_fraction * data.subset_weight(&root);
-        let pos_weight = if binned.is_some() {
-            (0..data.n_samples())
-                .map(|i| if data.label(i) { data.weight(i) } else { 0.0 })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Full-table accumulation (the prerequisite for the
-        // parent-minus-sibling subtraction trick) pays off only when
-        // most features get scanned anyway. Under narrow per-node
-        // sampling (k ≪ d, e.g. the forest's √d) the per-feature
-        // direct path does strictly less work: k·n accumulation
-        // instead of d·n plus table-sized zeroing and subtraction.
-        let k = params.max_features.resolve(data.n_features());
-        let use_subtraction = 2 * k >= data.n_features();
-        let mut builder = TreeBuilder {
-            data,
-            binned,
-            params,
-            min_weight,
-            use_subtraction,
-            rng: StdRng::seed_from_u64(params.seed),
-            scratch: SplitScratch::new(),
-            feature_pool: (0..data.n_features()).collect(),
-            pos_weight,
-            node_wa: Vec::new(),
-            node_wb: Vec::new(),
-            pool: HistPool::new(),
-            pending: 0,
-            nodes: Vec::new(),
-            importances: vec![0.0; data.n_features()],
-        };
-        builder.build_node(root, 0, None);
-        obs::counter("trees.split_evaluations").add(builder.scratch.n_evaluations);
-        let mut importances = builder.importances;
-        let nodes = builder.nodes;
-        // Normalise importances to sum to 1 (when any split happened).
-        let total: f64 = importances.iter().sum();
-        if total > 0.0 {
-            for v in &mut importances {
-                *v /= total;
+        let criterion = Gini::new(data, min_weight);
+        let mut rng = StdRng::seed_from_u64(params.seed);
+        grow(data, binned, root, params, &criterion, &mut rng)
+    }
+
+    /// Follow `row` to its leaf and return the leaf's value.
+    pub(crate) fn leaf_value(&self, row: &[f64]) -> f64 {
+        let mut at = 0usize;
+        loop {
+            match &self.nodes[at] {
+                Node::Leaf { value } => return *value,
+                Node::Split { feature, threshold, left, right } => {
+                    at = if row[*feature] <= *threshold { *left } else { *right };
+                }
             }
         }
-        DecisionTree { nodes, importances, n_features: data.n_features(), params: params.clone() }
     }
 
     /// Predict the positive-class probability for one feature row.
@@ -225,15 +194,7 @@ impl DecisionTree {
     /// Panics if the row length differs from the training feature count.
     pub fn predict_proba(&self, row: &[f64]) -> f64 {
         assert_eq!(row.len(), self.n_features, "feature count mismatch");
-        let mut at = 0usize;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { proba } => return *proba,
-                Node::Split { feature, threshold, left, right } => {
-                    at = if row[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
+        self.leaf_value(row)
     }
 
     /// Normalised impurity-decrease feature importances (sum to 1 when
@@ -288,7 +249,7 @@ impl DecisionTree {
     /// split nodes; use [`DecisionTree::split_at`] to distinguish).
     pub fn leaf_proba_at(&self, node: usize) -> f64 {
         match self.nodes.get(node) {
-            Some(Node::Leaf { proba }) => *proba,
+            Some(Node::Leaf { value }) => *value,
             _ => 0.5,
         }
     }
@@ -304,28 +265,94 @@ impl DecisionTree {
     }
 }
 
-/// Recursive fitting state: the dataset views, RNG, scratch buffers,
-/// histogram pool, and the accumulating node/importance arrays.
-struct TreeBuilder<'a> {
+/// Grow one tree on the row multiset `root` toward `criterion`:
+/// the crate's one tree grower, shared by CART (through
+/// [`DecisionTree::fit_with_shared`]) and every gradient-boosting
+/// round. `params` supplies the per-node feature sample and the depth
+/// cap; feature subsampling draws from `rng`.
+///
+/// # Panics
+/// Panics on an empty root multiset or a `binned` view whose shape
+/// does not match `data`.
+pub(crate) fn grow<C: Criterion>(
+    data: &Dataset,
+    binned: Option<&BinnedDataset>,
+    root: Vec<usize>,
+    params: &TreeParams,
+    criterion: &C,
+    rng: &mut StdRng,
+) -> DecisionTree {
+    assert!(!root.is_empty(), "cannot fit on an empty root multiset");
+    if let Some(b) = binned {
+        assert_eq!(b.n_rows(), data.n_samples(), "binned view row mismatch");
+        assert_eq!(b.n_features(), data.n_features(), "binned view feature mismatch");
+    }
+    // Full-table accumulation (the prerequisite for the
+    // parent-minus-sibling subtraction trick) pays off only when most
+    // features get scanned anyway. Under narrow per-node sampling
+    // (k ≪ d, e.g. the forest's √d) the per-feature direct path does
+    // strictly less work: k·n accumulation instead of d·n plus
+    // table-sized zeroing and subtraction.
+    let k = params.max_features.resolve(data.n_features());
+    let mut builder = TreeBuilder {
+        data,
+        binned,
+        criterion,
+        max_depth: params.max_depth,
+        k,
+        use_subtraction: 2 * k >= data.n_features(),
+        rng,
+        scratch: SplitScratch::default(),
+        feature_pool: (0..data.n_features()).collect(),
+        node_a: Vec::new(),
+        node_b: Vec::new(),
+        pool: HistPool::new(),
+        pending: 0,
+        nodes: Vec::new(),
+        importances: vec![0.0; data.n_features()],
+    };
+    builder.build_node(root, 0, None);
+    obs::counter("trees.split_evaluations").add(builder.scratch.n_evaluations);
+    let mut importances = builder.importances;
+    // Normalise importances to sum to 1 (when any split happened).
+    let total: f64 = importances.iter().sum();
+    if total > 0.0 {
+        for v in &mut importances {
+            *v /= total;
+        }
+    }
+    DecisionTree {
+        nodes: builder.nodes,
+        importances,
+        n_features: data.n_features(),
+        params: params.clone(),
+    }
+}
+
+/// Recursive fitting state: the dataset views, criterion, RNG,
+/// scratch buffers, histogram pool, and the accumulating
+/// node/importance arrays.
+struct TreeBuilder<'a, C> {
     data: &'a Dataset,
     binned: Option<&'a BinnedDataset>,
-    params: &'a TreeParams,
-    min_weight: f64,
+    criterion: &'a C,
+    max_depth: Option<usize>,
+    /// Features evaluated per node.
+    k: usize,
     /// Build full-feature tables and derive sibling histograms by
     /// subtraction (wide sampling); false = per-feature direct
     /// accumulation (narrow sampling).
     use_subtraction: bool,
-    rng: StdRng,
+    rng: &'a mut StdRng,
     scratch: SplitScratch,
+    /// One feature pool per tree, shuffled in place at every node
+    /// that searches for a split.
     feature_pool: Vec<usize>,
-    /// Per-row `weight · label`, the histogram's second accumuland
-    /// (empty in exact mode).
-    pos_weight: Vec<f64>,
-    /// Node-aligned gathers of `(weight, pos_weight)` for the direct
-    /// histogram path, refilled per node so the `k` per-feature
-    /// accumulation passes read weights sequentially.
-    node_wa: Vec<f64>,
-    node_wb: Vec<f64>,
+    /// Node-aligned gathers of the criterion's accumulands, refilled
+    /// per node: their sums are the node's statistics, and the direct
+    /// histogram path's `k` per-feature passes read them sequentially.
+    node_a: Vec<f64>,
+    node_b: Vec<f64>,
     pool: HistPool,
     /// Histograms currently held for unvisited siblings.
     pending: usize,
@@ -333,7 +360,7 @@ struct TreeBuilder<'a> {
     importances: Vec<f64>,
 }
 
-impl TreeBuilder<'_> {
+impl<C: Criterion> TreeBuilder<'_, C> {
     /// Construct the subtree over `indices`; returns its root index.
     /// `hist` optionally carries this node's pre-computed histogram
     /// (from the parent's subtraction); it is consumed either way.
@@ -343,102 +370,75 @@ impl TreeBuilder<'_> {
         depth: usize,
         hist: Option<NodeHistogram>,
     ) -> usize {
-        // In histogram mode the node's `(weight, pos_weight)` pairs are
-        // gathered once and summed sequentially — same index order and
+        // Node sums in row order: for Gini the same index order and
         // association as `weighted_positive_fraction`/`subset_weight`
         // (adding a negative row's 0.0 pos-weight is a bit-exact no-op
-        // for non-negative weights), and the gathers feed the direct
-        // per-feature accumulation below.
-        let (proba, node_weight) = if self.binned.is_some() {
-            self.node_wa.clear();
-            self.node_wa.extend(indices.iter().map(|&i| self.data.weight(i)));
-            self.node_wb.clear();
-            self.node_wb.extend(indices.iter().map(|&i| self.pos_weight[i]));
-            let total: f64 = self.node_wa.iter().sum();
-            let pos: f64 = self.node_wb.iter().sum();
-            (if total <= 0.0 { 0.5 } else { pos / total }, total)
-        } else {
-            (self.data.weighted_positive_fraction(&indices), self.data.subset_weight(&indices))
-        };
-        let impurity = gini(proba);
+        // for non-negative weights).
+        let criterion = self.criterion;
+        let (a, b) = criterion.accumulands();
+        self.node_a.clear();
+        self.node_a.extend(indices.iter().map(|&i| a[i]));
+        self.node_b.clear();
+        self.node_b.extend(indices.iter().map(|&i| b[i]));
+        let sums = (self.node_a.iter().sum(), self.node_b.iter().sum());
+        let (value, parent) = criterion.node(sums);
 
-        let depth_ok = self.params.max_depth.is_none_or(|d| depth < d);
-        let stop = !depth_ok
-            || node_weight < self.min_weight
-            || impurity <= 0.0
-            || indices.len() < 2;
-        if stop {
+        let depth_ok = self.max_depth.is_none_or(|d| depth < d);
+        if !depth_ok || criterion.stop(indices.len(), sums, parent) {
             if let Some(h) = hist {
                 self.pool.release(h);
             }
-            return self.push(Node::Leaf { proba });
+            return self.push(Node::Leaf { value });
         }
 
         // Random feature subset for this partition. The shuffle runs on
         // every non-stopped node in both modes, so exact and histogram
         // fits consume the RNG identically — the backbone of the
         // parity guarantee (DESIGN.md §9).
-        let k = self.params.max_features.resolve(self.data.n_features());
-        self.feature_pool.shuffle(&mut self.rng);
+        self.feature_pool.shuffle(self.rng);
 
-        let use_hist = self.binned.is_some() && indices.len() >= HIST_MIN_NODE_ROWS;
+        // Tiny nodes (and exact mode) sort: that is cheaper than
+        // touching a bins × features table. Wide sampling searches the
+        // node's full table (handed down, or accumulated here); narrow
+        // sampling accumulates each evaluated feature's bins directly
+        // — identical bin contents, so identical candidates — and
+        // holds no table for the children.
+        let binned = self.binned.filter(|_| indices.len() >= HIST_MIN_NODE_ROWS);
+        let node_hist = match (binned, hist) {
+            (Some(bd), hist) if self.use_subtraction => Some(hist.unwrap_or_else(|| {
+                let mut h = self.pool.acquire(bd);
+                h.accumulate(bd, &indices, a, b);
+                h
+            })),
+            (_, hist) => {
+                if let Some(h) = hist {
+                    self.pool.release(h);
+                }
+                None
+            }
+        };
         let mut best: Option<SplitCandidate> = None;
-        let mut node_hist: Option<NodeHistogram> = None;
-        if use_hist && self.use_subtraction {
-            let binned = self.binned.expect("use_hist implies binned");
-            let h = match hist {
-                Some(h) => h,
-                None => {
-                    let mut h = self.pool.acquire(binned);
-                    h.accumulate(binned, &indices, self.data.weights(), &self.pos_weight);
-                    h
+        for &f in self.feature_pool.iter().take(self.k) {
+            let scratch = &mut self.scratch;
+            let found = match (binned, &node_hist) {
+                (Some(bd), Some(h)) => {
+                    best_split_on_feature_hist(criterion, bd, h, f, parent, scratch)
                 }
-            };
-            for &f in self.feature_pool.iter().take(k) {
-                if let Some(c) =
-                    best_split_on_feature_hist(binned, &h, f, impurity, &mut self.scratch)
-                {
-                    if best.is_none_or(|b| c.decrease > b.decrease) {
-                        best = Some(c);
-                    }
-                }
-            }
-            node_hist = Some(h);
-        } else if use_hist {
-            // Narrow sampling: accumulate each evaluated feature's bins
-            // directly; identical bin contents, so identical candidates
-            // to the table-backed scan — no histogram is held for the
-            // children.
-            let binned = self.binned.expect("use_hist implies binned");
-            debug_assert!(hist.is_none(), "partial mode never hands down histograms");
-            for &f in self.feature_pool.iter().take(k) {
-                if let Some(c) = best_split_on_feature_hist_direct(
-                    binned,
+                (Some(bd), None) => best_split_on_feature_hist_direct(
+                    criterion,
+                    bd,
                     &indices,
-                    &self.node_wa,
-                    &self.node_wb,
+                    &self.node_a,
+                    &self.node_b,
                     f,
-                    impurity,
-                    &mut self.scratch,
-                ) {
-                    if best.is_none_or(|b| c.decrease > b.decrease) {
-                        best = Some(c);
-                    }
-                }
-            }
-        } else {
-            // Tiny node (or exact mode): the sorted scan is cheaper
-            // than touching a bins × features table.
-            if let Some(h) = hist {
-                self.pool.release(h);
-            }
-            for &f in self.feature_pool.iter().take(k) {
-                if let Some(c) =
-                    best_split_on_feature(self.data, &indices, f, impurity, &mut self.scratch)
-                {
-                    if best.is_none_or(|b| c.decrease > b.decrease) {
-                        best = Some(c);
-                    }
+                    parent,
+                    scratch,
+                ),
+                (None, _) => best_split_on_feature(criterion, self.data, &indices, f, parent, scratch),
+            };
+            if let Some(c) = found {
+                if best.is_none_or(|b| c.decrease > b.decrease) {
+                    best = Some(c);
                 }
             }
         }
@@ -447,7 +447,7 @@ impl TreeBuilder<'_> {
             if let Some(h) = node_hist {
                 self.pool.release(h);
             }
-            return self.push(Node::Leaf { proba });
+            return self.push(Node::Leaf { value });
         };
 
         // A child falling below the weight floor would immediately
@@ -459,29 +459,31 @@ impl TreeBuilder<'_> {
         // Histogram thresholds are bin cuts, so in-bag rows can route
         // on their narrow bin codes instead of strided f64 feature
         // reads; exact(-fallback) midpoint thresholds use the features.
-        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = if use_hist {
-            let binned = self.binned.expect("use_hist implies binned");
-            let bin = binned.cut_index(split.feature, split.threshold);
-            debug_assert_eq!(binned.cut(split.feature, bin), split.threshold);
-            binned.partition_leq(split.feature, bin, indices)
-        } else {
-            indices
+        let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = match binned {
+            Some(bd) => {
+                let bin = bd.cut_index(split.feature, split.threshold);
+                debug_assert_eq!(bd.cut(split.feature, bin), split.threshold);
+                bd.partition_leq(split.feature, bin, indices)
+            }
+            None => indices
                 .into_iter()
-                .partition(|&i| self.data.feature(i, split.feature) <= split.threshold)
+                .partition(|&i| self.data.feature(i, split.feature) <= split.threshold),
         };
         debug_assert!(!left_idx.is_empty() && !right_idx.is_empty());
 
         // Subtraction trick: scan only the smaller child; the larger
         // child's histogram is parent − smaller, reusing the parent's
         // buffer. Children that would stop immediately (too few rows,
-        // under the weight floor, at the depth cap) get no histogram.
+        // at the depth cap, or ruled out by the criterion) get no
+        // histogram.
         let mut left_hist: Option<NodeHistogram> = None;
         let mut right_hist: Option<NodeHistogram> = None;
-        if let Some(parent) = node_hist {
-            let child_depth_ok = self.params.max_depth.is_none_or(|d| depth + 1 < d);
-            let min_weight = self.min_weight;
+        if let Some(mut parent_hist) = node_hist {
+            let child_depth_ok = self.max_depth.is_none_or(|d| depth + 1 < d);
             let eligible = |rows: usize, weight: f64| {
-                child_depth_ok && rows >= HIST_MIN_NODE_ROWS && weight >= min_weight
+                child_depth_ok
+                    && rows >= HIST_MIN_NODE_ROWS
+                    && criterion.keeps_histogram(rows, weight)
             };
             let left_small = left_idx.len() <= right_idx.len();
             let (small, small_w, large, large_w) = if left_small {
@@ -490,11 +492,10 @@ impl TreeBuilder<'_> {
                 (&right_idx, split.right_weight, &left_idx, split.left_weight)
             };
             if eligible(large.len(), large_w) && self.pending < MAX_PENDING_HISTS {
-                let binned = self.binned.expect("hist implies binned");
-                let mut parent = parent;
-                let mut small_hist = self.pool.acquire(binned);
-                small_hist.accumulate(binned, small, self.data.weights(), &self.pos_weight);
-                parent.subtract(&small_hist); // now the large child's table
+                let bd = self.binned.expect("hist implies binned");
+                let mut small_hist = self.pool.acquire(bd);
+                small_hist.accumulate(bd, small, a, b);
+                parent_hist.subtract(&small_hist); // now the large child's table
                 let small_hist = if eligible(small.len(), small_w) {
                     Some(small_hist)
                 } else {
@@ -503,17 +504,17 @@ impl TreeBuilder<'_> {
                 };
                 if left_small {
                     left_hist = small_hist;
-                    right_hist = Some(parent);
+                    right_hist = Some(parent_hist);
                 } else {
-                    left_hist = Some(parent);
+                    left_hist = Some(parent_hist);
                     right_hist = small_hist;
                 }
             } else {
-                self.pool.release(parent);
+                self.pool.release(parent_hist);
             }
         }
 
-        let node = self.push(Node::Leaf { proba }); // placeholder, patched below
+        let node = self.push(Node::Leaf { value }); // placeholder, patched below
         let holding = right_hist.is_some();
         if holding {
             self.pending += 1;

@@ -9,6 +9,9 @@
 //!   forest with exact and histogram split finding at the sweep's
 //!   working shape (5000 rows × 63 features); pins
 //!   `trees.split_evaluations`.
+//! * `gbdt_fit`: a few histogram boosting rounds on the same data; pins
+//!   `trees.split_evaluations`, which every round's tree adds to since
+//!   boosting grows through the CART builder.
 //! * `sweep_cell`: one reduced in-process RF-F1 sweep; pins
 //!   `trees.split_evaluations` summed over the grid,
 //!   `features.day_table.blocks`, the (sector, day, column) blocks its
@@ -37,10 +40,14 @@ use hotspot::forecast::models::ModelSpec;
 use hotspot::forecast::sweep::{run_sweep, ResiliencePolicy, SweepConfig};
 use hotspot::nn::imputer::{AutoencoderImputer, Imputer, ImputerConfig};
 use hotspot::obs;
-use hotspot::trees::{BinnedDataset, Dataset, RandomForest, RandomForestParams, SplitStrategy};
+use hotspot::trees::{
+    BinnedDataset, Dataset, GradientBoosting, GradientBoostingParams, RandomForest,
+    RandomForestParams, SplitStrategy,
+};
 
 const FOREST_FIT_EXACT_SPLIT_EVALUATIONS: u64 = 37544;
 const FOREST_FIT_HIST_SPLIT_EVALUATIONS: u64 = 37816;
+const GBDT_FIT_SPLIT_EVALUATIONS: u64 = 1785;
 const SWEEP_CELL_SPLIT_EVALUATIONS: u64 = 792;
 const SWEEP_CELL_DAY_TABLE_BLOCKS: u64 = 12600;
 const SWEEP_CELL_COLUMNS_QUANTISED: u64 = 12600;
@@ -50,6 +57,7 @@ const BIN_BUILD_BINS_BUILT: u64 = 9688;
 const N_ROWS: usize = 5000;
 const N_FEATURES: usize = 63;
 const N_TREES: usize = 10;
+const N_ROUNDS: usize = 5;
 const SEED_MIX: u64 = 0x2545_F491_4F6C_DD1D;
 
 /// How much `counter` grows while `work` runs.
@@ -202,6 +210,12 @@ fn pinned_counters_and_determinism_gates() {
         bits_equal(&preds_4t, &hist_preds),
         "histogram predictions must not depend on the thread count"
     );
+
+    let gbdt_params = GradientBoostingParams { n_rounds: N_ROUNDS, ..Default::default() };
+    let (gbdt, booster) =
+        counted("trees.split_evaluations", || GradientBoosting::fit(&data, &gbdt_params));
+    assert_eq!(booster.n_rounds(), N_ROUNDS, "gbdt_fit: every round must be fitted");
+    assert_eq!(gbdt, GBDT_FIT_SPLIT_EVALUATIONS, "gbdt_fit: trees.split_evaluations");
 
     let ctx = sweep_context();
     let (quantised, (blocks, (sweep, result))) = counted("bins.columns_quantised", || {
