@@ -23,6 +23,15 @@ pub struct EvalRecord {
     pub evaluated: usize,
 }
 
+/// Whether the target day `t + h` holds a positive label (`≥ 0.5`;
+/// `NaN` labels never count) — the rule [`evaluate_day`] scores by. A
+/// cell whose target day holds none cannot be scored, so the sweep
+/// checks this before it fits anything.
+pub fn target_day_has_positive(ctx: &ForecastContext, spec: &WindowSpec) -> bool {
+    let day = spec.target_day();
+    (0..ctx.n_sectors()).any(|i| ctx.target.get(i, day) >= 0.5)
+}
+
 /// Evaluate predictions for the target day `t + h`.
 ///
 /// Sectors whose label at the target day is `NaN` are excluded.
@@ -43,6 +52,9 @@ pub fn evaluate_day(
     assert_eq!(predictions.len(), ctx.n_sectors(), "one prediction per sector");
     let day = spec.target_day();
     assert!(day < ctx.target.cols(), "target day out of range");
+    if !target_day_has_positive(ctx, spec) {
+        return None;
+    }
 
     let mut labels = Vec::with_capacity(ctx.n_sectors());
     let mut scores = Vec::with_capacity(ctx.n_sectors());
@@ -55,9 +67,6 @@ pub fn evaluate_day(
         scores.push(p);
     }
     let positives = labels.iter().filter(|&&b| b).count();
-    if positives == 0 || labels.is_empty() {
-        return None;
-    }
     let ap = average_precision(&labels, &scores);
 
     let mut rng = StdRng::seed_from_u64(seed ^ RANDOM_REFERENCE_SALT);

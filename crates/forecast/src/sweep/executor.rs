@@ -21,7 +21,7 @@ use crate::cache::SweepCache;
 use crate::checkpoint::{load_checkpoint_sharded, CheckpointWriter};
 use crate::classifier::fit_and_forecast;
 use crate::context::ForecastContext;
-use crate::evaluate::{evaluate_day, EvalRecord};
+use crate::evaluate::{evaluate_day, target_day_has_positive, EvalRecord};
 use crate::models::ModelSpec;
 use hotspot_core::error::{CoreError, Result as CoreResult};
 use hotspot_features::windows::WindowSpec;
@@ -253,7 +253,9 @@ fn run_cell_once(
         plan.apply(model, t, h, w, attempt);
     }
     let spec = WindowSpec::new(t, h, w);
-    if !spec.fits(ctx.n_days()) {
+    // An unscorable cell is empty whatever a model would predict, so
+    // it is decided before any fit.
+    if !spec.fits(ctx.n_days()) || !target_day_has_positive(ctx, &spec) {
         return None;
     }
     let seed = attempt_seed(config.seed, attempt);

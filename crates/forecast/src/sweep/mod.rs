@@ -177,7 +177,8 @@ pub enum CellOutcome {
     /// The cell produced an evaluation.
     Evaluated(EvalRecord),
     /// Legitimately empty: the window did not fit, or the target day
-    /// had no positive labels.
+    /// had no positive labels. Both are decided before any model is
+    /// fitted, so an empty cell costs no fit.
     Empty,
     /// Every attempt panicked; `error` is the final panic payload.
     Failed {

@@ -15,8 +15,8 @@ use hotspot::forecast::context::{ForecastContext, Target};
 use hotspot::forecast::models::ModelSpec;
 use hotspot::forecast::SweepCache;
 use hotspot::forecast::sweep::{
-    canonical_tsv, merge_shards, run_sweep, InProcessExecutor, ResiliencePolicy, ShardFiles,
-    ShardSpec, SweepConfig, SweepPlan, SweepResult,
+    canonical_tsv, merge_shards, run_sweep, CellOutcome, InProcessExecutor, ResiliencePolicy,
+    ShardFiles, ShardSpec, SweepConfig, SweepPlan, SweepResult,
 };
 use hotspot::trees::SplitStrategy;
 use proptest::prelude::*;
@@ -222,4 +222,34 @@ fn resume_and_warm_cache_build_nothing_new() {
     assert!(after_replay.hits > after_first.hits, "the replay must hit the cache");
     assert_eq!(tsv(&cfg, &replay), tsv(&cfg, &first), "warm replay must reproduce the run");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A cell whose target day holds no positive label cannot be scored,
+/// so it is empty before anything is fitted: its classifier never asks
+/// the plane cache for a plane.
+#[test]
+fn unscorable_cell_is_empty_without_a_fit() {
+    let (t, h) = (24, 1);
+    let mut unscorable = ctx().clone();
+    for i in 0..unscorable.n_sectors() {
+        unscorable.target.set(i, t + h, 0.0);
+    }
+    let cfg = SweepConfig {
+        models: vec![ModelSpec::RfF1],
+        ..config(vec![t], vec![h], 1, 1, SplitStrategy::default())
+    };
+    let cache = Arc::new(SweepCache::default());
+    let result = InProcessExecutor {
+        ctx: &unscorable,
+        config: &cfg,
+        shard: ShardSpec::FULL,
+        checkpoint: None,
+        cache: Some(Arc::clone(&cache)),
+    }
+    .execute()
+    .unwrap();
+    assert_eq!(result.cells.len(), 1, "the grid has one cell");
+    assert_eq!(result.cells[0].outcome, CellOutcome::Empty);
+    let stats = cache.planes.stats();
+    assert_eq!(stats.hits + stats.misses, 0, "an unscorable cell must not featurise");
 }

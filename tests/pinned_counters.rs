@@ -48,9 +48,9 @@ use hotspot::trees::{
 const FOREST_FIT_EXACT_SPLIT_EVALUATIONS: u64 = 37544;
 const FOREST_FIT_HIST_SPLIT_EVALUATIONS: u64 = 37816;
 const GBDT_FIT_SPLIT_EVALUATIONS: u64 = 1785;
-const SWEEP_CELL_SPLIT_EVALUATIONS: u64 = 792;
+const SWEEP_CELL_SPLIT_EVALUATIONS: u64 = 528;
 const SWEEP_CELL_DAY_TABLE_BLOCKS: u64 = 12600;
-const SWEEP_CELL_COLUMNS_QUANTISED: u64 = 12600;
+const SWEEP_CELL_COLUMNS_QUANTISED: u64 = 8400;
 const IMPUTER_FIT_CELLS_IMPUTED: u64 = 171;
 const BIN_BUILD_BINS_BUILT: u64 = 9688;
 
