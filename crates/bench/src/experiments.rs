@@ -105,7 +105,8 @@ pub fn sweep_config(
 /// * `--shard I` (worker): compute only shard `I` of `--shards`,
 ///   journaling to the shard-derived checkpoint; the returned
 ///   `SweepResult` covers only that shard's cells, so a `partial:`
-///   line on stdout marks the tables that follow as incomplete.
+///   line on stdout marks the tables that follow as incomplete. The
+///   one shard of `--shards 1` is the whole plan and prints none.
 /// * `--merge` (collector): compute nothing — validate and merge the
 ///   `--shards` existing shard files and return the full merged
 ///   result, refusing (with the `manifest_check --compare` style
@@ -153,7 +154,7 @@ pub fn run_sweep_with_options(
             obs::error!("sweep checkpoint error: {e}");
             std::process::exit(2);
         });
-        if opts.shard.is_some() {
+        if !shard.is_full() {
             print_section(&format!(
                 "partial: shard {shard} ran {} of {} plan cells; combine the shards with --merge",
                 result.cells.len(),

@@ -17,7 +17,9 @@
 #   4. a merge over shards journaled under a different seed is
 #      refused, and the refusal names the fingerprint.
 #
-# It also checks that a shard worker marks its stdout as partial, that
+# It also checks that a shard worker marks its stdout as partial (and
+# that the one worker of --shards 1, which runs the whole plan, prints
+# the plain run's stdout instead), that
 # a bare --shards N (neither --shard nor --merge) is refused, and the
 # plain --checkpoint flow the same runner serves: a re-run without
 # --resume exits 2, --resume over the complete journal prints the plain
@@ -56,8 +58,12 @@ echo '>>> sweep shard smoke: plain unsharded run'
 "$EXP" "${ARGS[@]}" > "$OUT/plain.stdout"
 
 echo '>>> sweep shard smoke: single-shard reference (1 worker + merge)'
-"$EXP" "${ARGS[@]}" --shards 1 --shard 0 --checkpoint "$OUT/single/sweep.tsv" > /dev/null
+"$EXP" "${ARGS[@]}" --shards 1 --shard 0 --checkpoint "$OUT/single/sweep.tsv" \
+  > "$OUT/single/worker-0.stdout"
 "$EXP" "${ARGS[@]}" --shards 1 --merge --checkpoint "$OUT/single/sweep.tsv" > /dev/null
+
+echo '>>> sweep shard smoke: the one worker of --shards 1 prints the plain stdout'
+cmp "$OUT/plain.stdout" "$OUT/single/worker-0.stdout"
 
 echo '>>> sweep shard smoke: 3 concurrent shard workers + merge'
 pids=()
