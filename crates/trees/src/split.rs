@@ -128,7 +128,7 @@ pub(crate) struct SplitScratch {
 }
 
 /// Keep the best-scoring cut: the first of equal scores wins.
-fn consider(best: &mut Option<SplitCandidate>, candidate: SplitCandidate) {
+pub(crate) fn consider(best: &mut Option<SplitCandidate>, candidate: SplitCandidate) {
     if best.is_none_or(|b| candidate.decrease > b.decrease) {
         *best = Some(candidate);
     }
@@ -297,8 +297,9 @@ mod tests {
         let d = separable();
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        let s = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch).unwrap();
+        let s = best_split_on_feature(&c, &d, &idx, 0, imp, &mut scratch).unwrap();
         assert_eq!(s.feature, 0);
         assert!((s.threshold - 2.5).abs() < 1e-12);
         // Perfect split: decrease = total_w × parent impurity.
@@ -311,8 +312,9 @@ mod tests {
     fn constant_feature_yields_none() {
         let d = separable();
         let idx: Vec<usize> = (0..4).collect();
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        assert!(best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 1, 0.5, &mut scratch).is_none());
+        assert!(best_split_on_feature(&c, &d, &idx, 1, 0.5, &mut scratch).is_none());
     }
 
     #[test]
@@ -321,8 +323,9 @@ mod tests {
         // does, the best candidate carries zero decrease.
         let d = Dataset::new(vec![1.0, 2.0, 3.0], 1, vec![true, true, true]).unwrap();
         let idx = vec![0, 1, 2];
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        let s = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, gini(1.0), &mut scratch).unwrap();
+        let s = best_split_on_feature(&c, &d, &idx, 0, gini(1.0), &mut scratch).unwrap();
         assert!(s.decrease.abs() < 1e-12);
     }
 
@@ -340,8 +343,9 @@ mod tests {
         d.set_weights(vec![0.01, 0.01, 1.0, 1.0, 5.0]);
         let idx: Vec<usize> = (0..5).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        let s = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch).unwrap();
+        let s = best_split_on_feature(&c, &d, &idx, 0, imp, &mut scratch).unwrap();
         assert!(s.threshold > 4.0 && s.threshold < 10.0, "threshold {}", s.threshold);
     }
 
@@ -362,16 +366,17 @@ mod tests {
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
         let h = node_hist(&d, &b, &idx);
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        let exact = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch).unwrap();
-        let hist = best_split_on_feature_hist(&Gini::new(&d, 0.0), &b, &h, 0, imp, &mut scratch).unwrap();
+        let exact = best_split_on_feature(&c, &d, &idx, 0, imp, &mut scratch).unwrap();
+        let hist = best_split_on_feature_hist(&c, &b, &h, 0, imp, &mut scratch).unwrap();
         assert_eq!(hist.feature, exact.feature);
         assert_eq!(hist.threshold, exact.threshold);
         assert_eq!(hist.decrease, exact.decrease);
         assert_eq!(hist.left_weight, exact.left_weight);
         assert_eq!(hist.right_weight, exact.right_weight);
         // Constant feature: no candidate in either mode.
-        assert!(best_split_on_feature_hist(&Gini::new(&d, 0.0), &b, &h, 1, imp, &mut scratch).is_none());
+        assert!(best_split_on_feature_hist(&c, &b, &h, 1, imp, &mut scratch).is_none());
         assert_eq!(scratch.n_evaluations, 3, "hist searches count as evaluations too");
     }
 
@@ -382,13 +387,12 @@ mod tests {
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(d.weighted_positive_fraction(&idx));
         let h = node_hist(&d, &b, &idx);
-        let criterion = Gini::new(&d, 0.0);
-        let (w, pos) = criterion.accumulands();
+        let c = Gini::new(&d, 0.0);
+        let (w, pos) = c.accumulands();
         let mut scratch = SplitScratch::default();
-        let table = best_split_on_feature_hist(&criterion, &b, &h, 0, imp, &mut scratch).unwrap();
+        let table = best_split_on_feature_hist(&c, &b, &h, 0, imp, &mut scratch).unwrap();
         let direct =
-            best_split_on_feature_hist_direct(&criterion, &b, &idx, w, pos, 0, imp, &mut scratch)
-                .unwrap();
+            best_split_on_feature_hist_direct(&c, &b, &idx, w, pos, 0, imp, &mut scratch).unwrap();
         assert_eq!(direct, table);
         assert_eq!(scratch.n_evaluations, 2);
     }
@@ -408,8 +412,9 @@ mod tests {
         let idx = vec![1, 4]; // values 2.0 (pos) and 5.0 (neg)
         let imp = gini(d.weighted_positive_fraction(&idx));
         let h = node_hist(&d, &b, &idx);
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        let s = best_split_on_feature_hist(&Gini::new(&d, 0.0), &b, &h, 0, imp, &mut scratch).unwrap();
+        let s = best_split_on_feature_hist(&c, &b, &h, 0, imp, &mut scratch).unwrap();
         assert!(s.left_weight > 0.0 && s.right_weight > 0.0);
         // The first boundary achieving the perfect partition wins.
         assert_eq!(s.threshold, 2.5);
@@ -421,8 +426,9 @@ mod tests {
         let d = Dataset::new(vec![1.0, 1.0, 1.0, 2.0], 1, vec![true, true, false, false]).unwrap();
         let idx: Vec<usize> = (0..4).collect();
         let imp = gini(0.5);
+        let c = Gini::new(&d, 0.0);
         let mut scratch = SplitScratch::default();
-        if let Some(s) = best_split_on_feature(&Gini::new(&d, 0.0), &d, &idx, 0, imp, &mut scratch) {
+        if let Some(s) = best_split_on_feature(&c, &d, &idx, 0, imp, &mut scratch) {
             assert!(s.left_weight > 0.0 && s.right_weight > 0.0);
             assert!((1.0..2.0).contains(&s.threshold));
         }

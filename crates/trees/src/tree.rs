@@ -9,7 +9,7 @@
 use crate::binned::{BinnedDataset, HistPool, NodeHistogram, SplitStrategy, HIST_MIN_NODE_ROWS};
 use crate::dataset::Dataset;
 use crate::split::{
-    best_split_on_feature, best_split_on_feature_hist, best_split_on_feature_hist_direct,
+    best_split_on_feature, best_split_on_feature_hist, best_split_on_feature_hist_direct, consider,
     Criterion, Gini, SplitCandidate, SplitScratch,
 };
 use hotspot_obs as obs;
@@ -434,12 +434,12 @@ impl<C: Criterion> TreeBuilder<'_, C> {
                     parent,
                     scratch,
                 ),
-                (None, _) => best_split_on_feature(criterion, self.data, &indices, f, parent, scratch),
+                (None, _) => {
+                    best_split_on_feature(criterion, self.data, &indices, f, parent, scratch)
+                }
             };
             if let Some(c) = found {
-                if best.is_none_or(|b| c.decrease > b.decrease) {
-                    best = Some(c);
-                }
+                consider(&mut best, c);
             }
         }
 
