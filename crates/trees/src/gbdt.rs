@@ -7,7 +7,9 @@
 //!
 //! Each boosting round fits a shallow regression tree to the negative
 //! gradient of the log-loss and applies a Newton leaf step
-//! (`Σg / Σh`), the standard second-order formulation.
+//! (`Σg / Σh`), the standard second-order formulation. The tree grows
+//! through the crate's one builder ([`crate::tree`]) under the
+//! `Newton` criterion.
 
 use crate::binned::{BinnedDataset, SplitStrategy};
 use crate::cancel::CancelToken;

@@ -1,4 +1,4 @@
-//! Split search for one node, generic over the [`Criterion`] a tree
+//! Split search for one node, generic over the `Criterion` a tree
 //! grows toward: the exact sorted scan and the histogram bin scans
 //! (see [`crate::binned`]).
 
